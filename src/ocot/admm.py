@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import OrderedVariates, Problem, TransportPlan, objective
 from .errors import InvalidConfig
-from .projections import OrderConeProjector
+from .projections import OrderConeProjector, project_marginals
 
 DEFAULT_RHO = 1.0
 DEFAULT_MAX_ITERS = 10_000
@@ -27,7 +27,6 @@ class SolverConfig:
     rho: float = DEFAULT_RHO
     max_iters: int = DEFAULT_MAX_ITERS
     tol: float = DEFAULT_TOL
-    track_averages: bool = False
 
     def __post_init__(self):
         if not self.rho > 0:
@@ -40,19 +39,12 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration objective and residual history plus the stop reason.
-
-    When average tracking is on, ``avg_objectives`` holds the objective of the
-    running ergodic mean and ``X_avg``/``Z_avg`` the final means themselves.
-    """
+    """Per-iteration objective and residual history plus the stop reason."""
 
     objectives: np.ndarray = field(default_factory=lambda: np.empty(0))
     primal: np.ndarray = field(default_factory=lambda: np.empty(0))
     dual: np.ndarray = field(default_factory=lambda: np.empty(0))
     termination: str = ""
-    avg_objectives: np.ndarray | None = None
-    X_avg: np.ndarray | None = None
-    Z_avg: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
@@ -83,8 +75,6 @@ def solve(
 
     a, b, D = problem.a, problem.b, problem.D
     D_over_rho = D / cfg.rho
-    inv_n, inv_m, inv_mn = 1.0 / n, 1.0 / m, 1.0 / (m * n)
-    mass = float(a.sum())
     Z = np.zeros((m, n))
     M = np.zeros((m, n))
     X = np.empty((m, n))
@@ -93,20 +83,13 @@ def solve(
     objs: list[float] = []
     primals: list[float] = []
     duals: list[float] = []
-    track = cfg.track_averages
-    if track:
-        X_sum = np.zeros((m, n))
-        Z_sum = np.zeros((m, n))
-        avg_objs: list[float] = []
 
     termination = "max_iters"
-    for it in range(1, cfg.max_iters + 1):
-        # marginal projection of Z - M - D/rho, closed form written in place
+    for _ in range(cfg.max_iters):
+        # marginal projection of Z - M - D/rho
         np.subtract(Z, M, out=W)
         W -= D_over_rho
-        np.add(W, ((a - W.sum(axis=1)) * inv_n)[:, None], out=X)
-        X += ((b - W.sum(axis=0)) * inv_m)[None, :]
-        X -= (mass - float(W.sum())) * inv_mn
+        project_marginals(W, a, b, out=X)
 
         np.add(X, M, out=W)
         project_c2(W, out=Z_new)
@@ -120,10 +103,6 @@ def solve(
         objs.append(float(np.vdot(D, X)))
         primals.append(primal)
         duals.append(dual)
-        if track:
-            X_sum += X
-            Z_sum += Z
-            avg_objs.append(float(np.vdot(D, X_sum)) / it)
         if primal <= cfg.tol and dual <= cfg.tol:
             termination = "tol"
             break
@@ -142,9 +121,4 @@ def solve(
         dual=np.array(duals),
         termination=termination,
     )
-    if track:
-        count = len(objs)
-        trace.avg_objectives = np.array(avg_objs)
-        trace.X_avg = X_sum / count
-        trace.Z_avg = Z_sum / count
     return plan, trace

@@ -1,4 +1,4 @@
-"""Command-line front end: file formats, subcommands, bench harness, color transfer.
+"""Command-line front end: file formats, subcommands, color transfer.
 
 File conventions: JSON problem documents carry 0-based indices and list
 constraint pairs most-important-first; segment tables are comma-separated
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-import time
 import warnings
 
 import numpy as np
@@ -233,6 +231,7 @@ def _search_doc(result: SearchResult, include_plans: bool = True) -> dict:
             "prune_reason": node.prune_reason,
             "bound": node.bound,
             "objective": node.objective,
+            "termination": node.termination,
             "expanded": node.expanded,
             "expand_skip_reason": node.expand_skip_reason,
         }
@@ -248,7 +247,6 @@ def cmd_search(args) -> int:
     result = branch_and_bound(problem, _search_config(args), _solver_cfg(args))
     doc = _search_doc(result)
     _copy_labels(raw, doc)
-    doc["seed"] = args.seed
     dot = search_dot(result)
     doc["dot"] = dot
     if args.dot:
@@ -331,79 +329,6 @@ def _load_color_constraints(path: str, src_ids: list[str], tgt_ids: list[str]) -
     return pairs
 
 
-def cmd_bench(args) -> int:
-    sizes = _parse_int_list(args.sizes, "--sizes")
-    ks = _parse_int_list(args.ks, "--ks")
-    cfg = _solver_cfg(args)
-    writer_target = open(args.output, "w", newline="") if args.output else sys.stdout
-    writer = csv.writer(writer_target)
-    writer.writerow(
-        ["m", "n", "k", "seed", "rep", "iterations", "termination",
-         "objective", "oracle_gap", "wall_time_s", "per_iter_s"]
-    )
-    try:
-        for m in sizes:
-            for n in sizes:
-                for k in ks:
-                    if k > min(m, n):
-                        print(f"skip m={m} n={n} k={k}: k exceeds min(m, n)", file=sys.stderr)
-                        continue
-                    if not _corollary_feasible(m, n, k):
-                        print(
-                            f"warning: m={m} n={n} k={k} violates the uniform-marginal "
-                            "feasibility condition; expect non-convergence",
-                            file=sys.stderr,
-                        )
-                    for rep in range(args.repeats):
-                        row = _bench_one(m, n, k, args.seed, rep, cfg)
-                        writer.writerow(row)
-    finally:
-        if args.output:
-            writer_target.close()
-    return 0
-
-
-def _corollary_feasible(m: int, n: int, k: int) -> bool:
-    """Uniform-marginal sufficient condition: min(m,n) >= 1 / (1 - k/max(m,n))."""
-    big = max(m, n)
-    if k >= big:
-        return False
-    return min(m, n) >= 1.0 / (1.0 - k / big)
-
-
-def _bench_one(m: int, n: int, k: int, seed: int, rep: int, cfg: SolverConfig):
-    rng = np.random.default_rng([seed, m, n, k, rep])
-    D = rng.random((m, n))
-    problem = validate_problem(np.full(m, 1.0 / m), np.full(n, 1.0 / n), D)
-    rows = rng.choice(m, size=k, replace=False)
-    cols = rng.choice(n, size=k, replace=False)
-    oc = OrderedVariates.from_ranked(list(zip(rows.tolist(), cols.tolist())))
-    start = time.perf_counter()
-    plan, trace = solve(problem, oc, cfg)
-    wall = time.perf_counter() - start
-    gap = ""
-    if m <= 8 and n <= 8:
-        try:
-            opt, _ = oracle.lp_solve_oc(problem, oc)
-            gap = abs(plan.objective - opt) / max(abs(opt), 1e-12)
-        except OcotError:
-            gap = ""
-    return [
-        m, n, k, seed, rep, plan.iterations, trace.termination,
-        plan.objective, gap, wall, wall / max(plan.iterations, 1),
-    ]
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParseError(f"{flag} expects comma-separated integers, got {text!r}") from exc
-    if not values:
-        raise ParseError(f"{flag} is empty")
-    return values
-
-
 def cmd_oracle_lp(args) -> int:
     problem, oc, _ = load_problem_file(args.input)
     optimum, plan = oracle.lp_solve_oc(problem, oc)
@@ -465,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="problem document (JSON); constraints are ignored")
     _add_search_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="recorded in the output document")
     p.add_argument("--output", help="write the result document here instead of stdout")
     p.add_argument("--dot", help="also write the DOT tree to this path")
     p.set_defaults(func=cmd_search)
@@ -484,15 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the result document here instead of stdout")
     p.set_defaults(func=cmd_color_transfer)
 
-    p = sub.add_parser("bench", help="timing grid over random instances")
-    p.add_argument("--sizes", default="10,20,40", help="comma-separated sizes (default 10,20,40)")
-    p.add_argument("--ks", default="1,2,4,10", help="comma-separated constraint counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=1)
-    _add_solver_flags(p)
-    p.add_argument("--output", help="write the CSV table here instead of stdout")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("oracle", help="desk-scale reference solvers")
     osub = p.add_subparsers(dest="oracle_command", required=True)
     q = osub.add_parser("lp", help="exact LP optimum via two-phase simplex")
@@ -507,24 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("OCOT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParseError(f"OCOT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ParseError(f"OCOT_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()  # validated; execution is single-threaded, within any cap
         return args.func(args)
     except InvalidConfig as exc:
         print(f"error: InvalidConfig: {exc}", file=sys.stderr)

@@ -21,22 +21,35 @@ from .errors import EmptyConstraints, NoZero, ShapeMismatch, UnequalMass
 def project_c1(problem: Problem, X: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {Y : Y 1 = a, Y^T 1 = b}.
 
-    Closed form: correct each row by its sum defect spread over the columns,
-    each column likewise, and remove the double-counted total-mass defect.
-    O(mn), exact marginals on output, idempotent.
+    Checks the shape and the equal-mass condition, then applies
+    ``project_marginals`` into a fresh array. Exact marginals on output,
+    idempotent.
     """
     X = np.asarray(X, dtype=float)
     if X.shape != problem.shape:
         raise ShapeMismatch(f"matrix has shape {X.shape}, expected {problem.shape}")
-    a, b = problem.a, problem.b
-    mass_a, mass_b = float(a.sum()), float(b.sum())
+    mass_a, mass_b = float(problem.a.sum()), float(problem.b.sum())
     if abs(mass_a - mass_b) > 1e-8:
         raise UnequalMass(f"sum(a) = {mass_a!r} != sum(b) = {mass_b!r}")
-    m, n = problem.shape
-    row_defect = a - X.sum(axis=1)
-    col_defect = b - X.sum(axis=0)
-    total_defect = mass_a - float(X.sum())
-    return X + row_defect[:, None] / n + col_defect[None, :] / m - total_defect / (m * n)
+    return project_marginals(X, problem.a, problem.b, np.empty(X.shape))
+
+
+def project_marginals(W: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Closed-form marginal projection of ``W`` written into ``out``.
+
+    Corrects each row by its sum defect spread over the columns, each column
+    likewise, and removes the double-counted total-mass defect. O(mn); all
+    sums are taken before ``out`` is written, so ``out`` may be ``W``. This is
+    the one kernel behind ``project_c1`` and the solver's marginal step.
+    """
+    m, n = W.shape
+    row_defect = (a - W.sum(axis=1)) / n
+    col_defect = (b - W.sum(axis=0)) / m
+    total_defect = (float(a.sum()) - float(W.sum())) / (m * n)
+    np.add(W, row_defect[:, None], out=out)
+    out += col_defect[None, :]
+    out -= total_defect
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,11 @@ class ThresholdEvaluator:
 
     @classmethod
     def from_values(cls, x_top: float, tail, positions=None) -> "ThresholdEvaluator":
+        """Rank ``tail`` by ``descending_order`` and build the breakpoints.
+
+        ``positions`` are the tail cells' flat indices in the source matrix
+        (default: their indices in ``tail``).
+        """
         tail = np.asarray(tail, dtype=float).ravel()
         order = descending_order(tail)
         srt = tail[order]
@@ -75,14 +93,6 @@ class ThresholdEvaluator:
             breakpoints=brk,
             tail_positions=positions[order],
         )
-
-    @classmethod
-    def from_matrix(cls, X: np.ndarray, oc: OrderedVariates) -> "ThresholdEvaluator":
-        X = np.asarray(X, dtype=float)
-        mask = oc.tail_mask(*X.shape)
-        flat = np.flatnonzero(mask.ravel())
-        i_top, j_top = oc.pairs[0]
-        return cls.from_values(X[i_top, j_top], X.ravel()[flat], positions=flat)
 
 
 def threshold_T(ev: ThresholdEvaluator, eta: float) -> tuple[float, int]:
@@ -223,11 +233,9 @@ def epava_blocks(chain: np.ndarray, ev: ThresholdEvaluator) -> BlockPartition:
 class OrderConeProjector:
     """Reusable projector onto the order cone of a fixed constraint list.
 
-    Precomputes the constrained flat indices and owns scratch buffers, so the
-    per-call cost is the tail sort plus the linear chain sweep with no
-    allocator churn; the solver re-projects every round. One projector
-    instance serves one solver at a time (the scratch is not shareable),
-    which matches the one-solver-per-instance concurrency model.
+    Precomputes the constrained and the unconstrained flat indices, so each
+    call is the tail sort of ``ThresholdEvaluator.from_values`` plus the
+    linear chain sweep; the solver re-projects every round.
     """
 
     def __init__(self, oc: OrderedVariates, m: int, n: int):
@@ -238,41 +246,15 @@ class OrderConeProjector:
         self.shape = (m, n)
         self.chain_flat = np.array([i * n + j for i, j in oc.pairs])
         self.tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
-        size = self.tail_flat.size
-        self._tail = np.empty(size)
-        self._sorted = np.empty(size)
-        self._prefix = np.empty(size + 1)
-        self._brk = np.empty(size)
-        self._pos = np.empty(size, dtype=self.tail_flat.dtype)
-        self._counts = np.arange(2.0, size + 2.0)  # s + 1 for s = 1..size
-
-    def _evaluator(self, x: np.ndarray) -> ThresholdEvaluator:
-        np.take(x, self.tail_flat, out=self._tail)
-        order = np.argsort(-self._tail, kind="stable")
-        np.take(self._tail, order, out=self._sorted)
-        self._prefix[0] = 0.0
-        np.cumsum(self._sorted, out=self._prefix[1:])
-        x_top = float(x[self.chain_flat[0]])
-        # breakpoints: x_top + prefix[s] - (s + 1) * sorted[s - 1], monotone
-        np.multiply(self._counts, self._sorted, out=self._brk)
-        np.subtract(self._prefix[1:], self._brk, out=self._brk)
-        self._brk += x_top
-        np.maximum.accumulate(self._brk, out=self._brk)
-        np.take(self.tail_flat, order, out=self._pos)
-        return ThresholdEvaluator(
-            sorted_tail=self._sorted,
-            x_top=x_top,
-            prefix_sums=self._prefix,
-            breakpoints=self._brk,
-            tail_positions=self._pos,
-        )
 
     def __call__(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.shape != self.shape:
             raise ShapeMismatch(f"matrix has shape {X.shape}, expected {self.shape}")
         x = X.ravel()
-        ev = self._evaluator(x)
+        ev = ThresholdEvaluator.from_values(
+            x[self.chain_flat[0]], x[self.tail_flat], self.tail_flat
+        )
         blocks = epava_blocks(x[self.chain_flat], ev)
         T_val, t = threshold_T(ev, blocks.eta_tilde)
 

@@ -109,8 +109,9 @@ class SearchNode:
     bound: float | None = None
     objective: float | None = None
     plan: TransportPlan | None = None
+    termination: str | None = None  # the solve's stop reason; None when not solved
     expanded: bool = False
-    expand_skip_reason: str | None = None  # depth | no-improvement | not-solved
+    expand_skip_reason: str | None = None  # depth | no-improvement | not-solved | not-converged
 
     @property
     def depth(self) -> int:
@@ -165,7 +166,9 @@ def branch_and_bound(
     the frontier. A popped node is solved only while fewer than k2 candidates
     exist or its bound (and its parent's objective, both admissible) beats the
     current k2-th best; solved nodes expand unless they sit at the depth cap
-    or failed to improve. The solver-call budget k1 counts loop solves only.
+    or failed to improve. Only solves that end on ``tol`` are ranked, the
+    root's included; a loop solve that stops short is not expanded either.
+    The solver-call budget k1 counts loop solves only.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     solver_cfg = solver_cfg if solver_cfg is not None else SolverConfig()
@@ -176,7 +179,7 @@ def branch_and_bound(
     trace: list[SearchNode] = []
     candidates = CandidateSet(capacity=cfg.k2)
 
-    root_plan = baseline.solve_exact_unconstrained(problem, solver_cfg)
+    root_plan, root_trace = baseline.solve(problem, OrderedVariates(), solver_cfg)
     base_plan = baseline.solve_entropic(problem)
     root = SearchNode(
         node_id=0,
@@ -187,10 +190,12 @@ def branch_and_bound(
         status="root",
         objective=root_plan.objective,
         plan=root_plan,
+        termination=root_trace.termination,
         expanded=True,
     )
     trace.append(root)
-    candidates.add(root_plan.objective, root.variates, 0, root_plan)
+    if root.termination == "tol":
+        candidates.add(root_plan.objective, root.variates, 0, root_plan)
 
     heap: list[tuple[float, tuple[tuple[int, int], ...], int]] = []
 
@@ -229,11 +234,15 @@ def branch_and_bound(
                 node.expand_skip_reason = "not-solved"
                 continue
 
-        plan, _ = solve(problem, node.variates, solver_cfg)
+        plan, solver_trace = solve(problem, node.variates, solver_cfg)
         count += 1
         node.status = "solved"
         node.objective = plan.objective
         node.plan = plan
+        node.termination = solver_trace.termination
+        if node.termination != "tol":
+            node.expand_skip_reason = "not-converged"
+            continue
         candidates.add(plan.objective, node.variates, node.node_id, plan)
 
         if node.depth >= cfg.k3:

@@ -5,6 +5,7 @@ from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, SolverConfig, check_membership, solve, validate_problem
 from ocot.errors import InvalidConfig
 from ocot.oracle import lp_solve_oc
+from ocot.projections import project_c1, project_c2_epava
 
 
 class TestConfig:
@@ -67,6 +68,21 @@ class TestSolve:
         assert plan.iterations == 500
         assert plan.primal_residual > 1e-3
 
+    def test_one_step_runs_the_public_kernels(self):
+        # from Z = M = 0 the first X is the marginal projection of -D/rho and
+        # the first Z the order-cone projection of that X, bit for bit
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            m = int(rng.integers(3, 9))
+            n = int(rng.integers(3, 9))
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            p = validate_problem(a, b, rng.random((m, n)))
+            oc = random_variates(rng, m, n, int(rng.integers(1, min(m, n) + 1)))
+            rho = float(rng.uniform(0.1, 10.0))
+            plan, _ = solve(p, oc, SolverConfig(rho=rho, max_iters=1))
+            assert np.array_equal(plan.X, project_c1(p, -p.D / rho))
+            assert np.array_equal(plan.Z, project_c2_epava(plan.X, oc))
+
     def test_trace_lengths(self, symmetric_2x2):
         plan, trace = solve(symmetric_2x2, OrderedVariates(((0, 1),)))
         assert trace.iterations == plan.iterations
@@ -95,7 +111,7 @@ class TestConvergenceBehaviour:
         _, trace = solve(
             symmetric_2x2,
             OrderedVariates(((0, 1),)),
-            SolverConfig(max_iters=2000, tol=1e-30, track_averages=True),
+            SolverConfig(max_iters=2000, tol=1e-30),
         )
         objs = trace.objectives
         if objs.size < 2000:
@@ -105,10 +121,3 @@ class TestConvergenceBehaviour:
         e1000 = abs(avg[999] - 0.5)
         e2000 = abs(avg[1999] - 0.5)
         assert e2000 <= 1.5 * (e1000 / 2.0)
-
-    def test_average_tracking_fields(self, symmetric_2x2):
-        _, trace = solve(
-            symmetric_2x2, OrderedVariates(((0, 1),)), SolverConfig(track_averages=True)
-        )
-        assert trace.X_avg is not None and trace.Z_avg is not None
-        assert trace.avg_objectives.size == trace.iterations

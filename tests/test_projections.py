@@ -271,8 +271,8 @@ class TestProjectC2:
             k = int(rng.integers(2, 6))
             oc = random_variates(rng, m, n, k)
             X = rng.uniform(-1, 1, (m, n))
-            ev = ThresholdEvaluator.from_matrix(X, oc)
             chain = np.array([X[i, j] for i, j in oc.pairs])
+            ev = ThresholdEvaluator.from_values(chain[0], X[oc.tail_mask(m, n)])
             blocks = epava_blocks(chain, ev)
             assert isinstance(blocks, BlockPartition)
             assert blocks.le[0] == 0

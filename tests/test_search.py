@@ -12,7 +12,8 @@ from ocot import (
     saturation,
     validate_problem,
 )
-from ocot.errors import InvalidConfig
+from ocot.errors import Infeasible, InvalidConfig
+from ocot.oracle import lp_solve_oc
 
 TIGHT = SolverConfig(tol=1e-6, max_iters=30_000)
 
@@ -188,3 +189,37 @@ class TestBranchAndBound:
                 assert parent in res.subtree
         ranks = res.candidates.node_ids()
         assert len(ranks) == len(set(ranks)) <= 5
+
+
+class TestConvergedCandidatesOnly:
+    def test_no_lp_infeasible_set_is_ranked(self):
+        # skewed marginals make many chains LP-infeasible; their solves stop
+        # at the iteration cap and must not be ranked or expanded, while the
+        # feasible chains still converge and get ranked
+        rng = np.random.default_rng(0)
+        cfg = SearchConfig(tau1=0.6, tau2=1.0, k1=10, k2=3, k3=2)
+        solver_cfg = SolverConfig(max_iters=1000)
+        ranked_sets = 0
+        not_converged = 0
+        for _ in range(6):
+            a = np.maximum(rng.dirichlet(np.full(4, 0.5)), 1e-3)
+            b = np.maximum(rng.dirichlet(np.full(4, 0.5)), 1e-3)
+            p = validate_problem(a / a.sum(), b / b.sum(), rng.random((4, 4)))
+            res = branch_and_bound(p, cfg, solver_cfg)
+            for _, ranked, _, _ in res.candidates.entries:
+                if ranked:
+                    try:
+                        lp_solve_oc(p, OrderedVariates.from_ranked(ranked))
+                    except Infeasible:
+                        pytest.fail(f"LP-infeasible constraint set {ranked} was ranked")
+                    ranked_sets += 1
+            for node_id in res.candidates.node_ids():
+                assert res.node(node_id).termination == "tol"
+            for nd in res.trace:
+                if nd.status == "solved" and nd.termination != "tol":
+                    not_converged += 1
+                    assert nd.expand_skip_reason == "not-converged"
+                    assert not nd.expanded
+                    assert nd.node_id not in res.candidates.node_ids()
+        assert ranked_sets > 0
+        assert not_converged > 0
