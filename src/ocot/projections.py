@@ -11,6 +11,7 @@ threshold function that pools the top tail cells into the bottom of the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,14 +53,32 @@ def project_marginals(W: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarr
     return out
 
 
+# The top-K prefix path beats one full stable sort once the tail is about
+# eight times longer than K (random tails from 8x6 to 100x100, K = m + n);
+# below that the fixed cost of partition and selection dominates.
+PREFIX_MIN_RATIO = 10
+
+
+class PrefixExhausted(Exception):
+    """A lookup reached the end of a truncated evaluator's prefix.
+
+    The pooled count it would return, or a piece it would walk, depends on tail
+    cells outside the prefix; the caller rebuilds with a longer prefix.
+    """
+
+
 @dataclass(frozen=True)
 class ThresholdEvaluator:
-    """O(1) evaluation of the top-block threshold after a one-time tail sort.
+    """Evaluation of the top-block threshold over a ranked tail prefix.
 
-    ``sorted_tail`` holds the unconstrained cell values descending (ties in
-    row-major position order), ``x_top`` the bottom-of-chain cell value.
-    ``breakpoints[s-1]`` is the dual value at which the pooled prefix grows
-    from s-1 to s cells; it is non-decreasing, so lookup is a bisection.
+    ``sorted_tail`` holds the largest unconstrained cell values descending
+    (ties in row-major position order): the whole tail when ``complete``,
+    otherwise only a top prefix of it, which costs O(N) to select instead of
+    O(N log N) to sort all N tail cells. ``x_top`` is the bottom-of-chain cell
+    value. ``breakpoints[s-1]`` is the dual value at which the pooled prefix
+    grows from s-1 to s cells; it is non-decreasing, so lookup is a bisection.
+    A truncated evaluator raises ``PrefixExhausted`` rather than answer a
+    lookup whose pooled count reaches the end of its prefix.
     """
 
     sorted_tail: np.ndarray
@@ -67,31 +86,55 @@ class ThresholdEvaluator:
     prefix_sums: np.ndarray
     breakpoints: np.ndarray
     tail_positions: np.ndarray  # flat indices of sorted_tail in the source matrix
+    tail: np.ndarray  # every tail value, unranked
+    complete: bool
+
+    @cached_property
+    def scale(self) -> float:
+        """max(1, |x_top|, max |tail|) over the whole tail, for ``solve_eta``'s tolerances."""
+        return max(1.0, abs(self.x_top), float(np.abs(self.tail).max(initial=0.0)))
 
     @classmethod
-    def from_values(cls, x_top: float, tail, positions=None) -> "ThresholdEvaluator":
+    def from_values(
+        cls, x_top: float, tail, positions=None, top_k: int | None = None
+    ) -> "ThresholdEvaluator":
         """Rank ``tail`` by ``descending_order`` and build the breakpoints.
 
         ``positions`` are the tail cells' flat indices in the source matrix
-        (default: their indices in ``tail``).
+        (default: their indices in ``tail``). With ``top_k`` set and a tail
+        at least ``PREFIX_MIN_RATIO`` times longer, only the cells at or above
+        the (top_k+1)-th largest value are ranked: taken in position order
+        and stably sorted, they are exactly the head of the full ranking, so
+        every sum and breakpoint over them is bit-identical to the full one.
         """
         tail = np.asarray(tail, dtype=float).ravel()
-        order = descending_order(tail)
-        srt = tail[order]
-        prefix = np.concatenate([[0.0], np.cumsum(srt)])
-        s = np.arange(1, srt.size + 1)
-        brk = x_top + prefix[1:] - (s + 1) * srt
-        brk = np.maximum.accumulate(brk)  # monotone in exact arithmetic
+        N = tail.size
         if positions is None:
-            positions = np.arange(tail.size)
+            positions = np.arange(N)
         else:
             positions = np.asarray(positions)
+        if top_k is not None and N >= PREFIX_MIN_RATIO * top_k:
+            pivot = np.partition(tail, N - top_k - 1)[N - top_k - 1]
+            keep = np.flatnonzero(tail >= pivot)
+            order = keep[descending_order(tail[keep])]
+        else:
+            order = descending_order(tail)
+        srt = tail[order]
+        R = srt.size
+        prefix = np.empty(R + 1)
+        prefix[0] = 0.0
+        np.cumsum(srt, out=prefix[1:])
+        brk = prefix[1:] + x_top
+        brk -= np.arange(2, R + 2) * srt
+        np.maximum.accumulate(brk, out=brk)  # monotone in exact arithmetic
         return cls(
             sorted_tail=srt,
             x_top=float(x_top),
             prefix_sums=prefix,
             breakpoints=brk,
             tail_positions=positions[order],
+            tail=tail,
+            complete=R == N,
         )
 
 
@@ -103,6 +146,8 @@ def threshold_T(ev: ThresholdEvaluator, eta: float) -> tuple[float, int]:
     empty-candidate convention (pool every tail cell above the shifted top).
     """
     t = int(np.searchsorted(ev.breakpoints, eta, side="right"))
+    if not ev.complete and t == ev.breakpoints.size:
+        raise PrefixExhausted(f"pooled count reaches the {t}-cell prefix")
     tau = (ev.x_top - eta + ev.prefix_sums[t]) / (t + 1)
     return max(tau, 0.0), t
 
@@ -118,9 +163,7 @@ def solve_eta(ev: ThresholdEvaluator, q: int, delta_2q: float) -> float:
     if q < 2:
         raise NoZero(f"q = {q} < 2")
     slope = 1.0 / (q - 1)
-    scale = max(1.0, abs(ev.x_top), abs(delta_2q))
-    if ev.sorted_tail.size:
-        scale = max(scale, float(np.abs(ev.sorted_tail).max()))
+    scale = max(ev.scale, abs(delta_2q))
     tol_resid = 1e-12 * scale
 
     def resid(eta: float) -> float:
@@ -136,6 +179,8 @@ def solve_eta(ev: ThresholdEvaluator, q: int, delta_2q: float) -> float:
     t = int(np.searchsorted(ev.breakpoints, 0.0, side="right"))
     lo = 0.0
     while True:
+        if t == nbrk and not ev.complete:
+            raise PrefixExhausted(f"threshold walk reaches the {t}-cell prefix")
         hi = ev.breakpoints[t] if t < nbrk else np.inf
         c_t = ev.x_top + ev.prefix_sums[t]  # tau hits zero at eta = c_t
         # Linear sub-piece: tau >= 0, T = (c_t - eta)/(t+1).
@@ -234,8 +279,11 @@ class OrderConeProjector:
     """Reusable projector onto the order cone of a fixed constraint list.
 
     Precomputes the constrained and the unconstrained flat indices, so each
-    call is the tail sort of ``ThresholdEvaluator.from_values`` plus the
-    linear chain sweep; the solver re-projects every round.
+    call is ``ThresholdEvaluator.from_values`` (a top-``top_k`` prefix of the
+    tail on large tails, else one tail sort) plus the linear chain sweep; the
+    solver re-projects every round. ``top_k`` starts at m + n and doubles,
+    for the rest of this projector's life, whenever the pooled count reaches
+    the end of the prefix.
     """
 
     def __init__(self, oc: OrderedVariates, m: int, n: int):
@@ -246,22 +294,30 @@ class OrderConeProjector:
         self.shape = (m, n)
         self.chain_flat = np.array([i * n + j for i, j in oc.pairs])
         self.tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
+        self.top_k = m + n
 
     def __call__(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.shape != self.shape:
             raise ShapeMismatch(f"matrix has shape {X.shape}, expected {self.shape}")
-        x = X.ravel()
-        ev = ThresholdEvaluator.from_values(
-            x[self.chain_flat[0]], x[self.tail_flat], self.tail_flat
-        )
-        blocks = epava_blocks(x[self.chain_flat], ev)
-        T_val, t = threshold_T(ev, blocks.eta_tilde)
-
         if out is None:
             out = np.empty(self.shape)
-        if not out.flags["C_CONTIGUOUS"]:
+        elif out.shape != self.shape:
+            raise ShapeMismatch(f"out buffer has shape {out.shape}, expected {self.shape}")
+        elif not out.flags["C_CONTIGUOUS"]:
             raise ValueError("out buffer must be C-contiguous")
+        x = X.ravel()
+        chain = x[self.chain_flat]
+        tail = x[self.tail_flat]
+        while True:
+            ev = ThresholdEvaluator.from_values(chain[0], tail, self.tail_flat, self.top_k)
+            try:
+                blocks = epava_blocks(chain, ev)
+                T_val, t = threshold_T(ev, blocks.eta_tilde)
+                break
+            except PrefixExhausted:
+                self.top_k *= 2
+
         flat = out.reshape(-1)
         np.maximum(x, 0.0, out=flat)
         flat[ev.tail_positions[:t]] = T_val

@@ -3,10 +3,13 @@ import pytest
 
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, Problem, validate_problem
+from ocot import projections
 from ocot.errors import EmptyConstraints, ShapeMismatch, UnequalMass
 from ocot.oracle import c1_project_dense, kkt_verify, pgd_project
 from ocot.projections import (
     BlockPartition,
+    OrderConeProjector,
+    PrefixExhausted,
     ThresholdEvaluator,
     epava_blocks,
     project_c1,
@@ -31,6 +34,40 @@ def brute_threshold(x_top, tail, eta):
             t = s - 1
             break
     return max(tau(t), 0.0), t
+
+
+def full_sort_evaluator(x_top, tail, positions):
+    """The evaluator built from one stable descending sort of the whole tail."""
+    order = np.argsort(-tail, kind="stable")
+    srt = tail[order]
+    prefix = np.concatenate([[0.0], np.cumsum(srt)])
+    s = np.arange(1, srt.size + 1)
+    brk = np.maximum.accumulate(x_top + prefix[1:] - (s + 1) * srt)
+    return ThresholdEvaluator(
+        sorted_tail=srt,
+        x_top=float(x_top),
+        prefix_sums=prefix,
+        breakpoints=brk,
+        tail_positions=positions[order],
+        tail=tail,
+        complete=True,
+    )
+
+
+def full_sort_projection(X, oc):
+    """Order-cone projection over the full-sort evaluator: Y, (T, t) and eta."""
+    m, n = X.shape
+    x = X.ravel()
+    chain_flat = np.array([i * n + j for i, j in oc.pairs])
+    tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
+    ev = full_sort_evaluator(x[chain_flat[0]], x[tail_flat], tail_flat)
+    blocks = epava_blocks(x[chain_flat], ev)
+    T_val, t = threshold_T(ev, blocks.eta_tilde)
+    Y = np.maximum(x, 0.0)
+    Y[ev.tail_positions[:t]] = T_val
+    for lo, hi, v in zip(blocks.le, blocks.ri, blocks.val):
+        Y[chain_flat[lo : hi + 1]] = v
+    return Y.reshape(m, n), (T_val, t), blocks.eta_tilde
 
 
 class TestProjectC1:
@@ -283,10 +320,96 @@ class TestProjectC2:
             assert blocks.eta_tilde >= 0.0
 
 
+class TestPrefixPath:
+    """The top-K prefix evaluator against the full-sort reference, bit for bit."""
+
+    def check(self, X, oc):
+        m, n = X.shape
+        proj = OrderConeProjector(oc, m, n)
+        Y = proj(X)
+        Y_ref, Tt_ref, eta = full_sort_projection(X, oc)
+        assert np.array_equal(Y, Y_ref)
+        x = X.ravel()
+        args = (x[proj.chain_flat[0]], x[proj.tail_flat], proj.tail_flat)
+        ev = ThresholdEvaluator.from_values(*args, proj.top_k)
+        ref = full_sort_evaluator(*args)
+        R = ev.sorted_tail.size
+        assert np.array_equal(ev.tail_positions, ref.tail_positions[:R])
+        assert np.array_equal(ev.prefix_sums, ref.prefix_sums[: R + 1])
+        assert np.array_equal(ev.breakpoints, ref.breakpoints[:R])
+        assert threshold_T(ev, eta) == Tt_ref
+        return proj
+
+    def prefix_taken(self, X, oc):
+        m, n = X.shape
+        x = X.ravel()
+        tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
+        x_top = x[oc.pairs[0][0] * n + oc.pairs[0][1]]
+        return not ThresholdEvaluator.from_values(x_top, x[tail_flat], tail_flat, m + n).complete
+
+    @pytest.mark.parametrize("m, n", [(64, 64), (30, 150)])
+    def test_matches_full_sort(self, m, n):
+        rng = np.random.default_rng(31)
+        for _ in range(15):
+            oc = random_variates(rng, m, n, int(rng.integers(1, 9)))
+            X = rng.uniform(-1.0, 1.0, (m, n))
+            assert self.prefix_taken(X, oc)
+            self.check(X, oc)
+
+    @pytest.mark.parametrize("m, n", [(64, 64), (30, 150)])
+    def test_heavy_ties(self, m, n):
+        rng = np.random.default_rng(32)
+        for _ in range(15):
+            oc = random_variates(rng, m, n, int(rng.integers(1, 9)))
+            X = np.round(rng.uniform(-1.0, 1.0, (m, n)), 2)
+            assert self.prefix_taken(X, oc)
+            self.check(X, oc)
+
+    def test_prefix_doubles(self):
+        # a bottom chain cell far below most of the tail pools a few hundred
+        # tail cells, more than the first m + n of the prefix
+        rng = np.random.default_rng(33)
+        for k in (1, 1, 2, 3, 4):
+            oc = random_variates(rng, 64, 64, k)
+            X = rng.uniform(0.0, 1.0, (64, 64))
+            i, j = oc.pairs[0]
+            X[i, j] = -5.0
+            proj = self.check(X, oc)
+            assert proj.top_k > 128
+
+    def test_truncated_lookup_refuses_prefix_end(self):
+        ev = ThresholdEvaluator.from_values(2000.0, np.arange(1000.0), top_k=10)
+        assert not ev.complete and ev.sorted_tail.size == 11
+        assert threshold_T(ev, 0.0)[1] < 11
+        with pytest.raises(PrefixExhausted):
+            threshold_T(ev, 1e9)
+
+
+class TestProjectorBuffers:
+    def test_wrong_shape_out_rejected(self):
+        oc = OrderedVariates(((0, 0),))
+        with pytest.raises(ShapeMismatch):
+            OrderConeProjector(oc, 3, 4)(np.zeros((3, 4)), out=np.empty((4, 3)))
+
+    def test_bad_out_rejected_before_projecting(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("projection ran before the out buffer was checked")
+
+        monkeypatch.setattr(projections, "epava_blocks", fail)
+        oc = OrderedVariates(((0, 0),))
+        proj = OrderConeProjector(oc, 3, 4)
+        with pytest.raises(ShapeMismatch):
+            proj(np.zeros((3, 4)), out=np.empty(12))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            proj(np.zeros((3, 4)), out=np.empty((4, 3)).T)
+
+
 class TestComplexity:
     def test_tail_sort_is_one_time(self):
-        # the evaluator exposes prefix sums sized with the tail, so threshold
-        # lookups after construction are O(1) bisections
+        # ranking happens once, at construction: the evaluator exposes prefix
+        # sums sized with the ranked cells (the whole tail here; only the top
+        # top_k + 1 and their ties on a long tail, see TestPrefixPath), so
+        # threshold lookups after construction are bisections
         ev = ThresholdEvaluator.from_values(0.0, np.arange(100.0))
         assert ev.prefix_sums.size == 101
         assert ev.breakpoints.size == 100
