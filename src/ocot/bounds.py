@@ -20,31 +20,6 @@ from .errors import Infeasible, RepeatedIndices
 _FEAS_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class PackingInstance:
-    """A continuous knapsack min sum(phi_i x_i) with 0 <= x_i <= u, sum = alpha."""
-
-    costs: np.ndarray  # ascending, ties by original index
-    u: float
-    alpha: float
-
-    @classmethod
-    def build(cls, costs, u: float, alpha: float) -> "PackingInstance":
-        costs = np.asarray(costs, dtype=float).ravel()
-        return cls(costs=np.sort(costs, kind="stable"), u=float(u), alpha=float(alpha))
-
-    @property
-    def ell(self) -> int:
-        """Number of items filled to capacity by the greedy optimum."""
-        if self.u <= 0.0:
-            return 0
-        return min(int(self.alpha // self.u), self.costs.size)
-
-    def value(self) -> float:
-        prefix = np.concatenate([[0.0], np.cumsum(self.costs)])
-        return _packing_sorted(self.costs, prefix, self.u, self.alpha)
-
-
 def _packing_sorted(
     sorted_costs: np.ndarray, prefix: np.ndarray, u: float, alpha: float
 ) -> float:
@@ -75,7 +50,8 @@ def _packing_sorted(
 
 def packing(costs, u: float, alpha: float) -> float:
     """Optimal value of the continuous packing problem (Infeasible if u*n < alpha)."""
-    return PackingInstance.build(costs, u, alpha).value()
+    srt = np.sort(np.asarray(costs, dtype=float).ravel(), kind="stable")
+    return _packing_sorted(srt, np.concatenate([[0.0], np.cumsum(srt)]), float(u), float(alpha))
 
 
 def mu(u: float, costs, alpha: float) -> float:

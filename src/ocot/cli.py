@@ -37,7 +37,7 @@ RGB_SCALE = 195075.0  # 3 * 255^2, the largest squared RGB distance
 # documents
 
 
-def load_problem_file(path: str) -> tuple[Problem, OrderedVariates, dict]:
+def _load_object(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -47,14 +47,26 @@ def load_problem_file(path: str) -> tuple[Problem, OrderedVariates, dict]:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
+    return doc
+
+
+def _load_constraints(doc: dict, path: str) -> OrderedVariates:
+    """The document's ranked ``constraints``: a list of [row, col] integer pairs."""
+    pairs = doc.get("constraints", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in pairs
+    ):
+        raise ParseError(f"{path}: constraints must be a list of [row, col] integer pairs")
+    return OrderedVariates.from_ranked(pairs)
+
+
+def load_problem_file(path: str) -> tuple[Problem, OrderedVariates, dict]:
+    doc = _load_object(path)
     for key in ("a", "b", "D"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
     problem = validate_problem(doc["a"], doc["b"], doc["D"], renormalize=doc.get("renormalize", False))
-    pairs = doc.get("constraints", [])
-    if not isinstance(pairs, list) or any(len(p) != 2 for p in pairs):
-        raise ParseError(f"{path}: constraints must be a list of [row, col] pairs")
-    oc = OrderedVariates.from_ranked(pairs)
+    oc = _load_constraints(doc, path)
     oc.check_bounds(*problem.shape)
     return problem, oc, doc
 
@@ -337,17 +349,11 @@ def cmd_oracle_lp(args) -> int:
 
 
 def cmd_oracle_project(args) -> int:
-    try:
-        with open(args.input) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.input} is not valid JSON: {exc}") from exc
+    doc = _load_object(args.input)
     if "X" not in doc:
         raise ParseError(f"{args.input}: missing required key 'X'")
     X = np.asarray(doc["X"], dtype=float)
-    oc = OrderedVariates.from_ranked(doc.get("constraints", []))
+    oc = _load_constraints(doc, args.input)
     proj = oracle.pgd_project(X, oc, tol=doc.get("tol", 1e-10))
     _dump({"projection": _matrix(proj)}, args.output)
     return 0

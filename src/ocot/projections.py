@@ -11,7 +11,6 @@ threshold function that pools the top tail cells into the bottom of the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +61,9 @@ PREFIX_MIN_RATIO = 10
 class PrefixExhausted(Exception):
     """A lookup reached the end of a truncated evaluator's prefix.
 
-    The pooled count it would return, or a piece it would walk, depends on tail
-    cells outside the prefix; the caller rebuilds with a longer prefix.
+    The pooled count it would return, or the piece holding a threshold root,
+    depends on tail cells outside the prefix; the caller rebuilds with a
+    longer prefix.
     """
 
 
@@ -86,13 +86,7 @@ class ThresholdEvaluator:
     prefix_sums: np.ndarray
     breakpoints: np.ndarray
     tail_positions: np.ndarray  # flat indices of sorted_tail in the source matrix
-    tail: np.ndarray  # every tail value, unranked
     complete: bool
-
-    @cached_property
-    def scale(self) -> float:
-        """max(1, |x_top|, max |tail|) over the whole tail, for ``solve_eta``'s tolerances."""
-        return max(1.0, abs(self.x_top), float(np.abs(self.tail).max(initial=0.0)))
 
     @classmethod
     def from_values(
@@ -133,7 +127,6 @@ class ThresholdEvaluator:
             prefix_sums=prefix,
             breakpoints=brk,
             tail_positions=positions[order],
-            tail=tail,
             complete=R == N,
         )
 
@@ -155,71 +148,33 @@ def threshold_T(ev: ThresholdEvaluator, eta: float) -> tuple[float, int]:
 def solve_eta(ev: ThresholdEvaluator, q: int, delta_2q: float) -> float:
     """Root of T(eta) = delta_2q + eta / (q - 1) for eta >= 0.
 
-    T is piecewise linear, non-increasing and convex while the right side
-    increases, so the root is unique when T(0) >= delta_2q. The walk visits
-    the linear pieces in order and intersects exactly; a bisection fallback
-    covers any float-boundary miss.
+    T is piecewise linear and non-increasing while the right side increases,
+    so the root is unique when T(0) >= delta_2q. The residual is evaluated at
+    every breakpoint in one pass; the count of breakpoints at or below zero or
+    still above the line is the pooled count t on the root's piece. There
+    T = max((c_t - eta) / (t + 1), 0), the larger of two decreasing lines, so
+    the root is the larger of their two roots.
     """
     if q < 2:
         raise NoZero(f"q = {q} < 2")
-    slope = 1.0 / (q - 1)
-    scale = max(ev.scale, abs(delta_2q))
-    tol_resid = 1e-12 * scale
-
-    def resid(eta: float) -> float:
-        return threshold_T(ev, eta)[0] - delta_2q - eta * slope
-
-    r0 = resid(0.0)
+    T0 = threshold_T(ev, 0.0)[0]
+    r0 = T0 - delta_2q
     if r0 < 0.0:
-        if r0 > -1e-9 * scale:
+        if r0 > -1e-9 * max(1.0, abs(T0), abs(delta_2q)):
             return 0.0
         raise NoZero(f"T(0) already below the line by {-r0!r}")
 
-    nbrk = ev.breakpoints.size
-    t = int(np.searchsorted(ev.breakpoints, 0.0, side="right"))
-    lo = 0.0
-    while True:
-        if t == nbrk and not ev.complete:
-            raise PrefixExhausted(f"threshold walk reaches the {t}-cell prefix")
-        hi = ev.breakpoints[t] if t < nbrk else np.inf
-        c_t = ev.x_top + ev.prefix_sums[t]  # tau hits zero at eta = c_t
-        # Linear sub-piece: tau >= 0, T = (c_t - eta)/(t+1).
-        if c_t > lo:
-            root = (q - 1) * (c_t - (t + 1) * delta_2q) / ((t + 1) + (q - 1))
-            if lo - tol_resid <= root <= min(hi, c_t) + tol_resid:
-                root = min(max(root, lo), min(hi, c_t))
-                if abs(resid(root)) <= tol_resid:
-                    return max(root, 0.0) + 0.0
-        # Clamped sub-piece: T = 0.
-        if c_t < hi:
-            root = -delta_2q * (q - 1)
-            if max(lo, c_t) - tol_resid <= root <= hi + tol_resid:
-                root = min(max(root, max(lo, c_t)), hi)
-                if abs(resid(root)) <= tol_resid:
-                    return max(root, 0.0) + 0.0
-        if t >= nbrk:
-            break
-        lo = hi
-        t += 1
-
-    # Fallback: bracket and bisect down to the residual target. The crossing
-    # exists (T(0) is above the line, the line grows without bound), so a
-    # machine-tight bracket is always an acceptable answer.
-    hi = max(1.0, scale)
-    while resid(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e18 * scale:
-            raise NoZero("failed to bracket the threshold equation")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if resid(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi) and abs(resid(mid)) <= tol_resid:
-            return mid
-    return 0.5 * (lo + hi)
+    brk = ev.breakpoints
+    s = np.searchsorted(brk, brk, side="right")  # t at each breakpoint, as in threshold_T
+    T = np.maximum((ev.x_top - brk + ev.prefix_sums[s]) / (s + 1), 0.0)
+    t = int(np.count_nonzero((brk <= 0.0) | (T - delta_2q - brk * (1.0 / (q - 1)) >= 0.0)))
+    if t == brk.size and not ev.complete:
+        raise PrefixExhausted(f"threshold root lies past the {t}-cell prefix")
+    c_t = ev.x_top + ev.prefix_sums[t]  # tau hits zero at eta = c_t
+    root = max((q - 1) * (c_t - (t + 1) * delta_2q) / (t + q), -delta_2q * (q - 1))
+    lo = max(brk[t - 1], 0.0) if t else 0.0
+    hi = brk[t] if t < brk.size else np.inf
+    return float(min(max(root, lo), hi)) + 0.0
 
 
 @dataclass

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, lower_bound, lower_bound_detail, mu, nu, packing, validate_problem
-from ocot.bounds import PackingInstance
 from ocot.errors import Infeasible, RepeatedIndices
 from ocot.oracle import lp_solve_oc, simplex_solve
 
@@ -69,11 +68,6 @@ class TestPacking:
             left = packing(costs, kink - 1e-12, alpha)
             right = packing(costs, kink + 1e-12, alpha)
             assert left == pytest.approx(right, abs=1e-9)
-
-    def test_instance_ell(self):
-        inst = PackingInstance.build([3.0, 1.0, 2.0], 0.5, 1.0)
-        assert inst.ell == 2
-        assert inst.value() == pytest.approx(1.5)
 
 
 class TestMuNu:

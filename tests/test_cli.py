@@ -81,6 +81,14 @@ class TestSolveCommand:
         assert code == 2
         assert "ShapeMismatch" in err
 
+    @pytest.mark.parametrize("pairs", [[1, 2], [["a", 0]], [[0.7, 1]]])
+    def test_malformed_constraints_are_parse_errors(self, capsys, tmp_path, pairs):
+        doc = {"a": [0.5, 0.5], "b": [0.5, 0.5], "D": [[0, 1], [1, 0]], "constraints": pairs}
+        path = write_json(tmp_path, "bad.json", doc)
+        code, _, err = run(capsys, "solve", path)
+        assert code == 2
+        assert "ParseError" in err
+
     def test_labels_echoed(self, capsys, tmp_path):
         doc = {
             "a": [0.5, 0.5], "b": [0.5, 0.5], "D": [[0, 1], [1, 0]],
@@ -304,3 +312,16 @@ class TestOracleCommands:
         assert code == 0
         proj = np.asarray(json.loads(out)["projection"])
         np.testing.assert_allclose(proj, [[0.5, 0.5]], atol=1e-8)
+
+    @pytest.mark.parametrize("pairs", [[1, 2], [["a", 0]], [[0.7, 1]]])
+    def test_project_malformed_constraints(self, capsys, tmp_path, pairs):
+        path = write_json(tmp_path, "proj.json", {"X": [[0.2, 0.8]], "constraints": pairs})
+        code, _, err = run(capsys, "oracle", "project", path)
+        assert code == 2
+        assert "ParseError" in err
+
+    def test_project_non_object_document(self, capsys, tmp_path):
+        path = write_json(tmp_path, "proj.json", 3)
+        code, _, err = run(capsys, "oracle", "project", path)
+        assert code == 2
+        assert "ParseError" in err

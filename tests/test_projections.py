@@ -4,7 +4,7 @@ import pytest
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, Problem, validate_problem
 from ocot import projections
-from ocot.errors import EmptyConstraints, ShapeMismatch, UnequalMass
+from ocot.errors import EmptyConstraints, NoZero, ShapeMismatch, UnequalMass
 from ocot.oracle import c1_project_dense, kkt_verify, pgd_project
 from ocot.projections import (
     BlockPartition,
@@ -36,6 +36,24 @@ def brute_threshold(x_top, tail, eta):
     return max(tau(t), 0.0), t
 
 
+def bisection_root(ev, q, delta):
+    """Root of T(eta) = delta + eta / (q - 1) by plain bisection on eta >= 0."""
+
+    def resid(e):
+        return threshold_T(ev, e)[0] - delta - e / (q - 1)
+
+    lo, hi = 0.0, 1.0
+    while resid(hi) > 0:
+        hi *= 2
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if resid(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def full_sort_evaluator(x_top, tail, positions):
     """The evaluator built from one stable descending sort of the whole tail."""
     order = np.argsort(-tail, kind="stable")
@@ -49,7 +67,6 @@ def full_sort_evaluator(x_top, tail, positions):
         prefix_sums=prefix,
         breakpoints=brk,
         tail_positions=positions[order],
-        tail=tail,
         complete=True,
     )
 
@@ -181,6 +198,14 @@ class TestSolveEta:
         ev = ThresholdEvaluator.from_values(1.0, [])
         assert solve_eta(ev, 2, 0.0) == pytest.approx(0.5, abs=1e-12)
 
+    def check_root(self, ev, q, delta):
+        eta = solve_eta(ev, q, delta)
+        scale = max(1.0, abs(delta), abs(ev.x_top))
+        assert eta >= 0.0
+        assert eta == pytest.approx(bisection_root(ev, q, delta), abs=1e-10 * scale)
+        assert abs(threshold_T(ev, eta)[0] - delta - eta / (q - 1)) <= 1e-12 * scale
+        return eta
+
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
@@ -189,22 +214,59 @@ class TestSolveEta:
             ev = ThresholdEvaluator.from_values(x_top, tail)
             q = int(rng.integers(2, 6))
             delta = float(rng.uniform(-1.0, threshold_T(ev, 0.0)[0]))
-            eta = solve_eta(ev, q, delta)
+            self.check_root(ev, q, delta)
 
-            def resid(e):
-                return threshold_T(ev, e)[0] - delta - e / (q - 1)
+    def test_long_tails(self):
+        # 100-300 cells, half of them with ties; delta spans the root on a
+        # linear piece, on the clamped piece (T = 0, delta < 0) and next to 0
+        rng = np.random.default_rng(22)
+        for trial in range(120):
+            tail = rng.uniform(-1.0, 1.0, size=int(rng.integers(100, 301)))
+            if trial % 2:
+                tail = np.round(tail, 1)
+            x_top = float(rng.uniform(-1.0, 1.0))
+            ev = ThresholdEvaluator.from_values(x_top, tail)
+            q = int(rng.integers(2, 10))
+            T0 = threshold_T(ev, 0.0)[0]
+            kind = trial % 3
+            if kind == 0:
+                delta = float(rng.uniform(-1.0, T0))
+            elif kind == 1:
+                # below -(x_top + positive tail mass), where T has reached 0
+                reach = 1.0 + abs(x_top) + float(np.clip(tail, 0.0, None).sum())
+                delta = -float(rng.uniform(1.0, 2.0)) * reach
+            else:
+                delta = T0 - float(rng.uniform(0.0, 1e-6))
+            eta = self.check_root(ev, q, delta)
+            if kind == 1:
+                assert threshold_T(ev, eta)[0] == 0.0
+                assert eta == pytest.approx(-delta * (q - 1), rel=1e-12)
+            if kind == 2:
+                assert eta <= 1e-5
 
-            lo, hi = 0.0, 1.0
-            while resid(hi) > 0:
-                hi *= 2
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if resid(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            assert eta == pytest.approx(0.5 * (lo + hi), abs=1e-10)
-            assert abs(resid(eta)) <= 1e-12
+    def test_no_zero_guards(self):
+        ev = ThresholdEvaluator.from_values(0.5, [0.3, 0.1])
+        with pytest.raises(NoZero):
+            solve_eta(ev, 1, 0.0)
+        for scale in (1.0, 1e6):
+            ev = ThresholdEvaluator.from_values(0.5 * scale, [0.3 * scale, 0.1 * scale])
+            T0 = threshold_T(ev, 0.0)[0]
+            # T(0) below the line by rounding only: the root is eta = 0
+            assert solve_eta(ev, 3, T0 * (1.0 + 1e-12)) == 0.0
+            with pytest.raises(NoZero):
+                solve_eta(ev, 3, T0 * (1.0 + 1e-6))
+
+    def test_root_past_truncated_prefix(self):
+        # T(0) is answered inside the 11-cell prefix, but the line meets T only
+        # after the pooled count has passed it
+        tail = np.arange(1000.0)
+        ev = ThresholdEvaluator.from_values(2000.0, tail, top_k=10)
+        assert not ev.complete and ev.sorted_tail.size == 11
+        assert threshold_T(ev, 0.0)[1] == 0
+        full = ThresholdEvaluator.from_values(2000.0, tail)
+        assert solve_eta(full, 2, -10000.0) > ev.breakpoints[-1]
+        with pytest.raises(PrefixExhausted):
+            solve_eta(ev, 2, -10000.0)
 
 
 def make_feasible_cone_point(rng, oc, m, n):
