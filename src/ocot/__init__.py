@@ -6,8 +6,8 @@ top-k set of explainable transport plans.
 """
 
 from .admm import SolverConfig, SolverTrace, solve
-from .baseline import EntropicConfig, solve_entropic, solve_exact_unconstrained
-from .bounds import lower_bound, lower_bound_detail, mu, nu, packing
+from .baseline import EntropicConfig, solve_entropic
+from .bounds import lower_bound, lower_bound_detail, packing
 from .core import (
     MembershipReport,
     OrderedVariates,
@@ -39,8 +39,6 @@ __all__ = [
     "feasible_point",
     "lower_bound",
     "lower_bound_detail",
-    "mu",
-    "nu",
     "objective",
     "packing",
     "project_c1",
@@ -48,6 +46,5 @@ __all__ = [
     "saturation",
     "solve",
     "solve_entropic",
-    "solve_exact_unconstrained",
     "validate_problem",
 ]

@@ -9,6 +9,7 @@ onto the intersection exists for this constraint family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +75,17 @@ def solve(
         project_c2 = lambda W, out=None: np.maximum(W, 0.0, out=out)
 
     a, b, D = problem.a, problem.b, problem.D
-    D_over_rho = D / cfg.rho
+    rho, tol = cfg.rho, cfg.tol
+    D_over_rho = D / rho
     Z = np.zeros((m, n))
     M = np.zeros((m, n))
     X = np.empty((m, n))
     W = np.empty((m, n))  # scratch shared by both projection inputs
     Z_new = np.empty((m, n))
+    # Flat views made once: a round's fixed cost is its numpy calls, so the
+    # norms and the objective skip the np.linalg.norm / np.vdot wrappers and
+    # run the same ravel-dot-sqrt they reduce to.
+    d, x, w = D.reshape(-1), X.reshape(-1), W.reshape(-1)
     objs: list[float] = []
     primals: list[float] = []
     duals: list[float] = []
@@ -96,14 +102,14 @@ def solve(
         M += X
         M -= Z_new
         np.subtract(X, Z_new, out=W)
-        primal = float(np.linalg.norm(W))
+        primal = math.sqrt(w.dot(w))
         np.subtract(Z_new, Z, out=W)
-        dual = cfg.rho * float(np.linalg.norm(W))
+        dual = rho * math.sqrt(w.dot(w))
         Z, Z_new = Z_new, Z
-        objs.append(float(np.vdot(D, X)))
+        objs.append(float(d.dot(x)))
         primals.append(primal)
         duals.append(dual)
-        if primal <= cfg.tol and dual <= cfg.tol:
+        if primal <= tol and dual <= tol:
             termination = "tol"
             break
 

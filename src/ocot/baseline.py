@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import SolverConfig, solve
-from .core import OrderedVariates, Problem, TransportPlan
+from .admm import solve  # the search takes its exact root plan from baseline.solve
+from .core import Problem
 from .errors import InvalidConfig, NumericalUnderflow
 
 DEFAULT_ITERATIONS = 20
@@ -63,12 +63,4 @@ def solve_entropic(problem: Problem, cfg: EntropicConfig | None = None) -> np.nd
         raise NumericalUnderflow("entropic plan left the representable range")
     if plan.min() <= 0.0 and problem.a.min() > 0.0 and problem.b.min() > 0.0:
         raise NumericalUnderflow("entropic plan lost strict positivity; increase epsilon")
-    return plan
-
-
-def solve_exact_unconstrained(
-    problem: Problem, cfg: SolverConfig | None = None
-) -> TransportPlan:
-    """Unconstrained transport via the splitting solver (order cone = orthant)."""
-    plan, _ = solve(problem, OrderedVariates(), cfg)
     return plan

@@ -54,32 +54,17 @@ def packing(costs, u: float, alpha: float) -> float:
     return _packing_sorted(srt, np.concatenate([[0.0], np.cumsum(srt)]), float(u), float(alpha))
 
 
-def mu(u: float, costs, alpha: float) -> float:
-    """Packing value of an unconstrained row: full budget, per-cell cap u."""
-    return packing(costs, u, alpha)
-
-
-def nu(u: float, costs, alpha: float) -> float:
-    """Packing value of a constrained row: the pinned cell already holds u of alpha."""
-    return packing(costs, u, alpha - u)
-
-
 @dataclass(frozen=True)
 class PiecewiseBound:
     """One branch of the bound: G*x + L(x) tabulated on its breakpoint grid.
 
     ``xs`` carries the range endpoints plus every constituent inflection in
     between, so the exact minimum of the convex piecewise-linear branch is
-    ``min(values)``. Slopes are the per-segment difference quotients.
+    ``min(values)``.
     """
 
     xs: np.ndarray
     values: np.ndarray
-
-    @property
-    def slopes(self) -> np.ndarray:
-        dx = np.diff(self.xs)
-        return np.diff(self.values) / np.where(dx > 0, dx, 1.0)
 
     @property
     def min_value(self) -> float:

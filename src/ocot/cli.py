@@ -119,6 +119,11 @@ def load_segment_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     return ids, np.array(weights) / total, np.array(colors)
 
 
+def _is_real(value) -> bool:
+    """A JSON number: int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_float(text: str) -> bool:
     try:
         float(text)
@@ -352,9 +357,22 @@ def cmd_oracle_project(args) -> int:
     doc = _load_object(args.input)
     if "X" not in doc:
         raise ParseError(f"{args.input}: missing required key 'X'")
-    X = np.asarray(doc["X"], dtype=float)
+    X = doc["X"]
+    if not (
+        isinstance(X, list)
+        and X
+        and all(isinstance(row, list) and row and all(_is_real(v) for v in row) for row in X)
+        and len({len(row) for row in X}) == 1
+    ):
+        raise ParseError(f"{args.input}: X must be a non-empty list of equal-length number rows")
+    X = np.array(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise ParseError(f"{args.input}: X has a non-finite entry")
+    tol = doc.get("tol", 1e-10)
+    if not (_is_real(tol) and 0 < tol < float("inf")):
+        raise ParseError(f"{args.input}: tol must be a positive number, got {tol!r}")
     oc = _load_constraints(doc, args.input)
-    proj = oracle.pgd_project(X, oc, tol=doc.get("tol", 1e-10))
+    proj = oracle.pgd_project(X, oc, tol=tol)
     _dump({"projection": _matrix(proj)}, args.output)
     return 0
 

@@ -175,7 +175,7 @@ def descending_order(values: np.ndarray) -> np.ndarray:
     A stable sort on the negated values keeps equal entries in row-major order.
     """
     values = np.asarray(values, dtype=float).ravel()
-    return np.argsort(-values, kind="stable")
+    return (-values).argsort(kind="stable")
 
 
 def validate_problem(a, b, D, renormalize: bool = False) -> Problem:

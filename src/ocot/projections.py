@@ -43,9 +43,10 @@ def project_marginals(W: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarr
     the one kernel behind ``project_c1`` and the solver's marginal step.
     """
     m, n = W.shape
-    row_defect = (a - W.sum(axis=1)) / n
-    col_defect = (b - W.sum(axis=0)) / m
-    total_defect = (float(a.sum()) - float(W.sum())) / (m * n)
+    add_reduce = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
+    row_defect = (a - add_reduce(W, axis=1)) / n
+    col_defect = (b - add_reduce(W, axis=0)) / m
+    total_defect = (float(add_reduce(a, axis=None)) - float(add_reduce(W, axis=None))) / (m * n)
     np.add(W, row_defect[:, None], out=out)
     out += col_defect[None, :]
     out -= total_defect
@@ -67,7 +68,7 @@ class PrefixExhausted(Exception):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ThresholdEvaluator:
     """Evaluation of the top-block threshold over a ranked tail prefix.
 
@@ -117,9 +118,9 @@ class ThresholdEvaluator:
         R = srt.size
         prefix = np.empty(R + 1)
         prefix[0] = 0.0
-        np.cumsum(srt, out=prefix[1:])
+        srt.cumsum(out=prefix[1:])
         brk = prefix[1:] + x_top
-        brk -= np.arange(2, R + 2) * srt
+        brk -= np.arange(2.0, R + 2.0) * srt
         np.maximum.accumulate(brk, out=brk)  # monotone in exact arithmetic
         return cls(
             sorted_tail=srt,
@@ -138,7 +139,7 @@ def threshold_T(ev: ThresholdEvaluator, eta: float) -> tuple[float, int]:
     it is the number of breakpoints at or below eta, which also covers the
     empty-candidate convention (pool every tail cell above the shifted top).
     """
-    t = int(np.searchsorted(ev.breakpoints, eta, side="right"))
+    t = int(ev.breakpoints.searchsorted(eta, side="right"))
     if not ev.complete and t == ev.breakpoints.size:
         raise PrefixExhausted(f"pooled count reaches the {t}-cell prefix")
     tau = (ev.x_top - eta + ev.prefix_sums[t]) / (t + 1)
@@ -165,7 +166,7 @@ def solve_eta(ev: ThresholdEvaluator, q: int, delta_2q: float) -> float:
         raise NoZero(f"T(0) already below the line by {-r0!r}")
 
     brk = ev.breakpoints
-    s = np.searchsorted(brk, brk, side="right")  # t at each breakpoint, as in threshold_T
+    s = brk.searchsorted(brk, side="right")  # t at each breakpoint, as in threshold_T
     T = np.maximum((ev.x_top - brk + ev.prefix_sums[s]) / (s + 1), 0.0)
     t = int(np.count_nonzero((brk <= 0.0) | (T - delta_2q - brk * (1.0 / (q - 1)) >= 0.0)))
     if t == brk.size and not ev.complete:
@@ -183,13 +184,16 @@ class BlockPartition:
 
     Boundaries are 0-based chain slots; ``val`` is strictly increasing across
     blocks on exit (equal neighbours coalesce). ``eta_tilde`` is the last dual
-    value solved for the bottom block (0.0 when never solved).
+    value solved for the bottom block (0.0 when never solved), and
+    ``(val[0], pooled)`` is ``threshold_T`` at it: the bottom block's value
+    and the count of tail cells pooled into that block.
     """
 
     le: list[int]
     ri: list[int]
     val: list[float]
     eta_tilde: float
+    pooled: int
 
     @property
     def B(self) -> int:
@@ -206,10 +210,12 @@ def epava_blocks(chain: np.ndarray, ev: ThresholdEvaluator) -> BlockPartition:
     """
     chain = np.asarray(chain, dtype=float)
     k = chain.size
+    add_reduce = np.add.reduce  # slice means as ndarray.mean computes them: sum / count
     eta_tilde = 0.0
     le = [0]
     ri = [0]
-    val = [threshold_T(ev, 0.0)[0]]
+    T0, pooled = threshold_T(ev, 0.0)
+    val = [T0]
     for ell in range(1, k):
         le.append(ell)
         ri.append(ell)
@@ -217,17 +223,17 @@ def epava_blocks(chain: np.ndarray, ev: ThresholdEvaluator) -> BlockPartition:
         while len(val) >= 2 and val[-1] <= val[-2]:
             q = ri[-1]
             if len(val) == 2:
-                delta = float(chain[1 : q + 1].mean())  # slots 1..q join the bottom block
+                delta = float(add_reduce(chain[1 : q + 1])) / q  # slots 1..q join the bottom block
                 eta_tilde = solve_eta(ev, q + 1, delta)
-                val[0] = threshold_T(ev, eta_tilde)[0]
+                val[0], pooled = threshold_T(ev, eta_tilde)
                 ri[0] = q
             else:
-                val[-2] = float(chain[le[-2] : q + 1].mean())
+                val[-2] = float(add_reduce(chain[le[-2] : q + 1])) / (q + 1 - le[-2])
                 ri[-2] = q
             le.pop()
             ri.pop()
             val.pop()
-    return BlockPartition(le=le, ri=ri, val=val, eta_tilde=eta_tilde)
+    return BlockPartition(le=le, ri=ri, val=val, eta_tilde=eta_tilde, pooled=pooled)
 
 
 class OrderConeProjector:
@@ -268,14 +274,13 @@ class OrderConeProjector:
             ev = ThresholdEvaluator.from_values(chain[0], tail, self.tail_flat, self.top_k)
             try:
                 blocks = epava_blocks(chain, ev)
-                T_val, t = threshold_T(ev, blocks.eta_tilde)
                 break
             except PrefixExhausted:
                 self.top_k *= 2
 
         flat = out.reshape(-1)
         np.maximum(x, 0.0, out=flat)
-        flat[ev.tail_positions[:t]] = T_val
+        flat[ev.tail_positions[: blocks.pooled]] = blocks.val[0]
         for lo, hi, v in zip(blocks.le, blocks.ri, blocks.val):
             flat[self.chain_flat[lo : hi + 1]] = v
         return out

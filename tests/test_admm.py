@@ -8,6 +8,29 @@ from ocot.oracle import lp_solve_oc
 from ocot.projections import project_c1, project_c2_epava
 
 
+def assert_rounds_match_kernels(p, oc, cfg):
+    """``solve`` against its rounds written out from the public kernels."""
+    Z = np.zeros(p.shape)
+    M = np.zeros(p.shape)
+    objs, primals, duals = [], [], []
+    for _ in range(cfg.max_iters):
+        X = project_c1(p, Z - M - p.D / cfg.rho)
+        Z_new = project_c2_epava(X + M, oc) if oc.k else np.maximum(X + M, 0.0)
+        M = M + X - Z_new
+        primals.append(float(np.linalg.norm(X - Z_new)))
+        duals.append(cfg.rho * float(np.linalg.norm(Z_new - Z)))
+        objs.append(float(np.vdot(p.D, X)))
+        Z = Z_new
+        if primals[-1] <= cfg.tol and duals[-1] <= cfg.tol:
+            break
+    plan, trace = solve(p, oc, cfg)
+    assert np.array_equal(plan.X, X)
+    assert np.array_equal(plan.Z, Z)
+    assert np.array_equal(trace.objectives, objs)
+    assert np.array_equal(trace.primal, primals)
+    assert np.array_equal(trace.dual, duals)
+
+
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [{"rho": 0.0}, {"rho": -1.0}, {"tol": 0.0}, {"max_iters": 0}])
     def test_invalid(self, kwargs):
@@ -70,7 +93,9 @@ class TestSolve:
 
     def test_one_step_runs_the_public_kernels(self):
         # from Z = M = 0 the first X is the marginal projection of -D/rho and
-        # the first Z the order-cone projection of that X, bit for bit
+        # the first Z the order-cone projection of that X, bit for bit; every
+        # later round repeats that arithmetic, so the public kernels written
+        # out as a loop reproduce 40 rounds and their trace exactly
         rng = np.random.default_rng(33)
         for _ in range(50):
             m = int(rng.integers(3, 9))
@@ -82,6 +107,12 @@ class TestSolve:
             plan, _ = solve(p, oc, SolverConfig(rho=rho, max_iters=1))
             assert np.array_equal(plan.X, project_c1(p, -p.D / rho))
             assert np.array_equal(plan.Z, project_c2_epava(plan.X, oc))
+            for variates in (oc, OrderedVariates()):
+                assert_rounds_match_kernels(p, variates, SolverConfig(rho=rho, max_iters=40))
+        # 64x64 with k = 4: the top-K prefix path, and merges into the bottom
+        # block that re-solve the threshold equation
+        p = uniform_problem(rng, 64, 64)
+        assert_rounds_match_kernels(p, random_variates(rng, 64, 64, 4), SolverConfig(max_iters=40))
 
     def test_trace_lengths(self, symmetric_2x2):
         plan, trace = solve(symmetric_2x2, OrderedVariates(((0, 1),)))

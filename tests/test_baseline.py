@@ -5,8 +5,8 @@ from conftest import uniform_problem
 from ocot import (
     EntropicConfig,
     OrderedVariates,
+    solve,
     solve_entropic,
-    solve_exact_unconstrained,
     validate_problem,
 )
 from ocot.errors import InvalidConfig, NumericalUnderflow
@@ -67,18 +67,18 @@ class TestEntropic:
 
 class TestExactUnconstrained:
     def test_symmetric_instance(self, symmetric_2x2):
-        plan = solve_exact_unconstrained(symmetric_2x2)
+        plan = solve(symmetric_2x2, OrderedVariates())[0]
         assert plan.objective == pytest.approx(0.0, abs=1e-3)
 
     def test_singleton(self):
         p = validate_problem([1.0], [1.0], [[0.7]])
-        plan = solve_exact_unconstrained(p)
+        plan = solve(p, OrderedVariates())[0]
         np.testing.assert_allclose(plan.X, [[1.0]], atol=1e-8)
 
     def test_random_vs_lp(self):
         rng = np.random.default_rng(45)
         for _ in range(6):
             p = uniform_problem(rng, 5, 5)
-            plan = solve_exact_unconstrained(p)
+            plan = solve(p, OrderedVariates())[0]
             opt, _ = lp_solve_oc(p, OrderedVariates())
             assert abs(plan.objective - opt) <= 0.01 * max(abs(opt), 1e-12)

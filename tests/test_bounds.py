@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_variates, uniform_problem
-from ocot import OrderedVariates, lower_bound, lower_bound_detail, mu, nu, packing, validate_problem
+from ocot import OrderedVariates, lower_bound, lower_bound_detail, packing, validate_problem
 from ocot.errors import Infeasible, RepeatedIndices
 from ocot.oracle import lp_solve_oc, simplex_solve
 
@@ -71,17 +71,21 @@ class TestPacking:
 
 
 class TestMuNu:
+    """The bound's row values, mu for a free row and nu for a row whose pinned
+    cell holds u, are both ``packing``: nu(u, c, alpha) = packing(c, u, alpha - u)."""
+
     def test_nu_single_item(self):
         # one item picks up whatever budget the pinned cell leaves behind
-        assert nu(0.6, [2.5], 1.0) == pytest.approx(0.4 * 2.5)
+        assert packing([2.5], 0.6, 1.0 - 0.6) == pytest.approx(0.4 * 2.5)
 
     def test_mu_is_packing(self):
+        # a free row fills the whole budget alpha under the per-cell cap u
         rng = np.random.default_rng(51)
         for _ in range(20):
             costs = rng.uniform(0, 2, 4)
             u = float(rng.uniform(0.2, 1.0))
             alpha = float(rng.uniform(0.0, 1.0))
-            assert mu(u, costs, alpha) == packing(costs, u, alpha)
+            assert packing(costs, u, alpha) == pytest.approx(packing_lp(costs, u, alpha), abs=1e-10)
 
     def test_nu_matches_lp(self):
         rng = np.random.default_rng(52)
@@ -90,13 +94,13 @@ class TestMuNu:
             costs = rng.uniform(0, 2, n - 1)
             alpha = float(rng.uniform(0.3, 1.0))
             u = float(rng.uniform(alpha / n, alpha))
-            assert nu(u, costs, alpha) == pytest.approx(
+            assert packing(costs, u, alpha - u) == pytest.approx(
                 packing_lp(costs, u, alpha - u), abs=1e-10
             )
 
     def test_nu_negative_budget_infeasible(self):
         with pytest.raises(Infeasible):
-            nu(1.5, [1.0], 1.0)
+            packing([1.0], 1.5, 1.0 - 1.5)
 
 
 class TestLowerBound:
@@ -132,7 +136,9 @@ class TestLowerBound:
             for branch in (report.row_branch, report.col_branch):
                 if branch is None or branch.xs.size < 3:
                     continue
-                assert np.all(np.diff(branch.slopes) >= -1e-7)
+                dx = np.diff(branch.xs)
+                slopes = np.diff(branch.values) / np.where(dx > 0, dx, 1.0)
+                assert np.all(np.diff(slopes) >= -1e-7)
 
     @pytest.mark.filterwarnings("ignore:both bound branches")
     def test_breakpoint_minimum_is_exact(self):

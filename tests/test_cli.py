@@ -320,6 +320,29 @@ class TestOracleCommands:
         assert code == 2
         assert "ParseError" in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"X": [["a", 0.8]]},
+            {"X": [0.2, 0.8]},
+            {"X": [[0.2, float("nan")]]},
+            {"X": []},
+            {"X": [[0.2, 0.8], [0.5]]},
+            {"X": [[True, 0.8]]},
+            {"X": [[0.2, 0.8]], "tol": "tight"},
+            {"X": [[0.2, 0.8]], "tol": True},
+            {"X": [[0.2, 0.8]], "tol": 0},
+            {"X": [[0.2, 0.8]], "tol": -1e-8},
+        ],
+        ids=["string-entry", "1-d", "nan-entry", "empty", "ragged", "bool-entry",
+             "string-tol", "bool-tol", "zero-tol", "negative-tol"],
+    )
+    def test_project_malformed_matrix_or_tol(self, capsys, tmp_path, fields):
+        path = write_json(tmp_path, "proj.json", {**fields, "constraints": [[0, 0]]})
+        code, _, err = run(capsys, "oracle", "project", path)
+        assert code == 2
+        assert "ParseError" in err
+
     def test_project_non_object_document(self, capsys, tmp_path):
         path = write_json(tmp_path, "proj.json", 3)
         code, _, err = run(capsys, "oracle", "project", path)

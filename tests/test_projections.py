@@ -365,13 +365,16 @@ class TestProjectC2:
 
     def test_block_partition_invariants(self):
         rng = np.random.default_rng(19)
-        for _ in range(40):
-            m, n = 5, 6
+        # 40 small complete tails, then one 64x64 tail through a truncated
+        # top-K evaluator, whose pooled count must stay inside its prefix
+        shapes = [(5, 6, None)] * 40 + [(64, 64, 128)]
+        for m, n, top_k in shapes:
             k = int(rng.integers(2, 6))
             oc = random_variates(rng, m, n, k)
             X = rng.uniform(-1, 1, (m, n))
             chain = np.array([X[i, j] for i, j in oc.pairs])
-            ev = ThresholdEvaluator.from_values(chain[0], X[oc.tail_mask(m, n)])
+            ev = ThresholdEvaluator.from_values(chain[0], X[oc.tail_mask(m, n)], top_k=top_k)
+            assert ev.complete == (top_k is None)
             blocks = epava_blocks(chain, ev)
             assert isinstance(blocks, BlockPartition)
             assert blocks.le[0] == 0
@@ -380,6 +383,7 @@ class TestProjectC2:
                 assert blocks.le[ell + 1] == blocks.ri[ell] + 1
                 assert blocks.val[ell + 1] > blocks.val[ell]
             assert blocks.eta_tilde >= 0.0
+            assert (blocks.val[0], blocks.pooled) == threshold_T(ev, blocks.eta_tilde)
 
 
 class TestPrefixPath:
