@@ -21,6 +21,8 @@ from .projections import OrderConeProjector, project_marginals
 DEFAULT_RHO = 1.0
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-4
+CERT_PERIOD = 16  # rounds between bound evaluations in a solve with a cutoff
+CUTOFF_MARGIN = 1e-3  # relative slack above the cutoff before a solve stops
 
 
 @dataclass(frozen=True)
@@ -40,29 +42,71 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration objective and residual history plus the stop reason."""
+    """Per-iteration objective and residual history, the stop reason
+    (``tol``, ``max_iters`` or ``dominated``) and the certified lower bound
+    on the LP optimum at the last iterate."""
 
     objectives: np.ndarray = field(default_factory=lambda: np.empty(0))
     primal: np.ndarray = field(default_factory=lambda: np.empty(0))
     dual: np.ndarray = field(default_factory=lambda: np.empty(0))
     termination: str = ""
+    lower_bound: float = -math.inf
 
     @property
     def iterations(self) -> int:
         return int(self.objectives.size)
 
 
+def certified_lower_bound(
+    problem: Problem, M: np.ndarray, rho: float, cone: OrderConeProjector | None
+) -> float:
+    """Weak-duality lower bound on the order-constrained LP optimum.
+
+    For any potentials u, v the optimum is at least a.u + b.v + mass * m(C),
+    with C = D - u(+)v and m(C) the least mean of C over the generators of
+    the order cone: the up-sets of the chain. With k >= 1 those are the top
+    j chain cells (j = 1..k) and the whole chain plus the j cheapest tail
+    cells; with k = 0 (``cone`` None) they are the single cells. u and v are
+    the least-squares fit of u(+)v to D + rho * M, where M is the solver's
+    scaled dual, so the bound closes on the optimum as the solve converges
+    (Boyd et al. 2011, section 3.3). An LP-infeasible chain has optimum
+    +inf, so any value bounds it.
+    """
+    D = problem.D
+    G = D + rho * M
+    u = G.mean(axis=1)
+    v = (G - u[:, None]).mean(axis=0)
+    c = (D - u[:, None] - v).reshape(-1)
+    if cone is None:
+        least = c.min()
+    else:
+        chain = c[cone.chain_flat[::-1]].cumsum()  # top cell first
+        tail = np.sort(c[cone.tail_flat]).cumsum() + chain[-1]
+        k = chain.size
+        least = min(
+            (chain / np.arange(1.0, k + 1.0)).min(),
+            (tail / np.arange(k + 1.0, k + tail.size + 1.0)).min(initial=math.inf),
+        )
+    return float(problem.a.dot(u) + problem.b.dot(v) + problem.a.sum() * least)
+
+
 def solve(
     problem: Problem,
     oc: OrderedVariates | None = None,
     cfg: SolverConfig | None = None,
+    cutoff: float | None = None,
 ) -> tuple[TransportPlan, SolverTrace]:
     """Run the splitting from Z = M = 0 until both residuals clear ``cfg.tol``.
 
     Hitting the iteration cap is not an error: the trace reports
     ``termination == "max_iters"`` with the final residuals, which is the
-    documented diagnostic for (possibly) infeasible constraint sets. The
-    returned plan is the last X with its order-feasible twin Z attached.
+    documented diagnostic for (possibly) infeasible constraint sets. With a
+    ``cutoff``, every ``CERT_PERIOD`` rounds the certified lower bound is
+    evaluated, and the solve ends with ``termination == "dominated"`` once it
+    exceeds ``cutoff + CUTOFF_MARGIN * |cutoff|``: the optimum is then proven
+    above the cutoff. Without one, the rounds are exactly those of a plain
+    solve. The returned plan is the last X with its order-feasible twin Z
+    attached; the trace carries the bound at the last iterate.
     """
     oc = oc if oc is not None else OrderedVariates()
     cfg = cfg if cfg is not None else SolverConfig()
@@ -70,9 +114,11 @@ def solve(
     m, n = problem.shape
 
     if oc.k:
-        project_c2 = OrderConeProjector(oc, m, n)
+        project_c2 = cone = OrderConeProjector(oc, m, n)
     else:
+        cone = None
         project_c2 = lambda W, out=None: np.maximum(W, 0.0, out=out)
+    stop_above = None if cutoff is None else cutoff + CUTOFF_MARGIN * abs(cutoff)
 
     a, b, D = problem.a, problem.b, problem.D
     rho, tol = cfg.rho, cfg.tol
@@ -112,6 +158,13 @@ def solve(
         if primal <= tol and dual <= tol:
             termination = "tol"
             break
+        if (
+            stop_above is not None
+            and len(objs) % CERT_PERIOD == 0
+            and certified_lower_bound(problem, M, rho, cone) > stop_above
+        ):
+            termination = "dominated"
+            break
 
     plan = TransportPlan(
         X=X,
@@ -126,5 +179,6 @@ def solve(
         primal=np.array(primals),
         dual=np.array(duals),
         termination=termination,
+        lower_bound=certified_lower_bound(problem, M, rho, cone),
     )
     return plan, trace

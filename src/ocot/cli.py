@@ -156,6 +156,7 @@ def cmd_solve(args) -> int:
         "primal_residual": plan.primal_residual,
         "dual_residual": plan.dual_residual,
         "termination": trace.termination,
+        "lower_bound": trace.lower_bound,
         "constraints": [list(p) for p in oc.ranked()],
     }
     if args.emit_z:
@@ -195,7 +196,8 @@ def _search_config(args, taus=None) -> SearchConfig:
 
 def search_dot(result: SearchResult) -> str:
     """Graphviz rendering of the searched tree: ranks on the kept plans,
-    dashed nodes for prunes, red for the learnt subtree."""
+    certified bounds on dominated solves, dashed nodes for prunes, red for
+    the learnt subtree."""
     ranks = {nid: r + 1 for r, nid in enumerate(result.candidates.node_ids())}
     subtree = set(result.subtree)
     out = ["digraph search {", "  rankdir=TB;"]
@@ -203,7 +205,10 @@ def search_dot(result: SearchResult) -> str:
         name = "root" if node.depth == 0 else str(list(node.variates.ranked()))
         label = name
         attrs = []
-        if node.status in ("root", "solved"):
+        if node.termination == "dominated":
+            label += f"\\ndominated: lb={node.lower_bound:.6g}"
+            attrs.append("shape=box")
+        elif node.status in ("root", "solved"):
             label += f"\\nobj={node.objective:.6g}"
             if node.node_id in ranks:
                 label += f"\\nrank={ranks[node.node_id]}"
@@ -249,6 +254,7 @@ def _search_doc(result: SearchResult, include_plans: bool = True) -> dict:
             "bound": node.bound,
             "objective": node.objective,
             "termination": node.termination,
+            "lower_bound": node.lower_bound,
             "expanded": node.expanded,
             "expand_skip_reason": node.expand_skip_reason,
         }

@@ -110,8 +110,10 @@ class SearchNode:
     objective: float | None = None
     plan: TransportPlan | None = None
     termination: str | None = None  # the solve's stop reason; None when not solved
+    lower_bound: float | None = None  # the solve's certified bound; None when not solved
     expanded: bool = False
-    expand_skip_reason: str | None = None  # depth | no-improvement | not-solved | not-converged
+    # depth | no-improvement | not-solved | not-converged | dominated
+    expand_skip_reason: str | None = None
 
     @property
     def depth(self) -> int:
@@ -168,7 +170,11 @@ def branch_and_bound(
     current k2-th best; solved nodes expand unless they sit at the depth cap
     or failed to improve. Only solves that end on ``tol`` are ranked, the
     root's included; a loop solve that stops short is not expanded either.
-    The solver-call budget k1 counts loop solves only.
+    Once k2 candidates exist and pruning is on, a solve gets the k2-th best
+    objective as its cutoff and ends ``dominated`` when its certified lower
+    bound proves it above that: such a node counts against k1 but is neither
+    ranked nor expanded, since no child's optimum is below its own. The
+    solver-call budget k1 counts loop solves only.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     solver_cfg = solver_cfg if solver_cfg is not None else SolverConfig()
@@ -191,6 +197,7 @@ def branch_and_bound(
         objective=root_plan.objective,
         plan=root_plan,
         termination=root_trace.termination,
+        lower_bound=root_trace.lower_bound,
         expanded=True,
     )
     trace.append(root)
@@ -220,28 +227,32 @@ def branch_and_bound(
         _, _, node_id = heapq.heappop(heap)
         node = trace[node_id]
 
+        cutoff = None  # the k2-th best objective, once pruning applies
         if cfg.prune and candidates.full:
-            worst = candidates.worst_objective
-            if node.parent_objective is not None and node.parent_objective >= worst:
+            cutoff = candidates.worst_objective
+            if node.parent_objective is not None and node.parent_objective >= cutoff:
                 node.status = "pruned"
                 node.prune_reason = "parent-cost"
                 node.expand_skip_reason = "not-solved"
                 continue
             node.bound = lower_bound(problem, node.variates)
-            if node.bound >= worst:
+            if node.bound >= cutoff:
                 node.status = "pruned"
                 node.prune_reason = "bound"
                 node.expand_skip_reason = "not-solved"
                 continue
 
-        plan, solver_trace = solve(problem, node.variates, solver_cfg)
+        plan, solver_trace = solve(problem, node.variates, solver_cfg, cutoff=cutoff)
         count += 1
         node.status = "solved"
         node.objective = plan.objective
         node.plan = plan
         node.termination = solver_trace.termination
+        node.lower_bound = solver_trace.lower_bound
         if node.termination != "tol":
-            node.expand_skip_reason = "not-converged"
+            node.expand_skip_reason = (
+                "dominated" if node.termination == "dominated" else "not-converged"
+            )
             continue
         candidates.add(plan.objective, node.variates, node.node_id, plan)
 

@@ -1,11 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, SolverConfig, check_membership, solve, validate_problem
-from ocot.errors import InvalidConfig
+from ocot.admm import CERT_PERIOD, CUTOFF_MARGIN, certified_lower_bound
+from ocot.errors import Infeasible, InvalidConfig
 from ocot.oracle import lp_solve_oc
-from ocot.projections import project_c1, project_c2_epava
+from ocot.projections import OrderConeProjector, project_c1, project_c2_epava
+
+
+def small_instances(rng, count=50):
+    """(problem, chain, rho) on 3-8 sides with Dirichlet(1) marginals."""
+    for _ in range(count):
+        m = int(rng.integers(3, 9))
+        n = int(rng.integers(3, 9))
+        a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        p = validate_problem(a, b, rng.random((m, n)))
+        oc = random_variates(rng, m, n, int(rng.integers(1, min(m, n) + 1)))
+        yield p, oc, float(rng.uniform(0.1, 10.0))
 
 
 def assert_rounds_match_kernels(p, oc, cfg):
@@ -97,13 +111,7 @@ class TestSolve:
         # later round repeats that arithmetic, so the public kernels written
         # out as a loop reproduce 40 rounds and their trace exactly
         rng = np.random.default_rng(33)
-        for _ in range(50):
-            m = int(rng.integers(3, 9))
-            n = int(rng.integers(3, 9))
-            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
-            p = validate_problem(a, b, rng.random((m, n)))
-            oc = random_variates(rng, m, n, int(rng.integers(1, min(m, n) + 1)))
-            rho = float(rng.uniform(0.1, 10.0))
+        for p, oc, rho in small_instances(rng):
             plan, _ = solve(p, oc, SolverConfig(rho=rho, max_iters=1))
             assert np.array_equal(plan.X, project_c1(p, -p.D / rho))
             assert np.array_equal(plan.Z, project_c2_epava(plan.X, oc))
@@ -113,6 +121,35 @@ class TestSolve:
         # block that re-solve the threshold equation
         p = uniform_problem(rng, 64, 64)
         assert_rounds_match_kernels(p, random_variates(rng, 64, 64, 4), SolverConfig(max_iters=40))
+
+    def test_infinite_cutoff_runs_the_plain_rounds(self):
+        # the cutoff path evaluates the bound every CERT_PERIOD rounds but
+        # must never touch the iterates, so an unreachable cutoff changes nothing
+        for p, oc, rho in small_instances(np.random.default_rng(33)):
+            cfg = SolverConfig(rho=rho, max_iters=10 * CERT_PERIOD)
+            for variates in (oc, OrderedVariates()):
+                plain_plan, plain = solve(p, variates, cfg)
+                cut_plan, cut = solve(p, variates, cfg, cutoff=math.inf)
+                assert cut.termination == plain.termination != "dominated"
+                assert cut_plan.iterations == plain_plan.iterations
+                assert np.array_equal(cut_plan.X, plain_plan.X)
+                assert np.array_equal(cut_plan.Z, plain_plan.Z)
+                assert np.array_equal(cut.objectives, plain.objectives)
+                assert np.array_equal(cut.primal, plain.primal)
+                assert np.array_equal(cut.dual, plain.dual)
+                assert cut.lower_bound == plain.lower_bound
+
+    def test_cutoff_below_the_optimum_ends_dominated(self):
+        rng = np.random.default_rng(35)
+        p = uniform_problem(rng, 6, 6)
+        oc = random_variates(rng, 6, 6, 2)
+        opt, _ = lp_solve_oc(p, oc)
+        plan, trace = solve(p, oc, SolverConfig(tol=1e-8), cutoff=0.9 * opt)
+        assert trace.termination == "dominated"
+        assert plan.iterations % CERT_PERIOD == 0
+        assert 0.9 * opt * (1.0 + CUTOFF_MARGIN) < trace.lower_bound <= opt * (1.0 + 1e-9)
+        _, full = solve(p, oc, SolverConfig(tol=1e-8))
+        assert plan.iterations < full.iterations
 
     def test_trace_lengths(self, symmetric_2x2):
         plan, trace = solve(symmetric_2x2, OrderedVariates(((0, 1),)))
@@ -152,3 +189,66 @@ class TestConvergenceBehaviour:
         e1000 = abs(avg[999] - 0.5)
         e2000 = abs(avg[1999] - 0.5)
         assert e2000 <= 1.5 * (e1000 / 2.0)
+
+
+class TestCertifiedLowerBound:
+    def test_below_the_lp_optimum_and_tight_at_convergence(self):
+        # weak duality: whatever the dual iterate, the bound never exceeds the
+        # optimum; at default tol it sits within 1e-3 of it (about 4e-4 worst
+        # here). LP-infeasible chains still get a finite bound, without raising.
+        rng = np.random.default_rng(7)
+        feasible = infeasible = 0
+        for _ in range(120):
+            m = int(rng.integers(3, 7))
+            n = int(rng.integers(3, 7))
+            a, b = rng.dirichlet(np.full(m, 2.0)), rng.dirichlet(np.full(n, 2.0))
+            p = validate_problem(a, b, rng.random((m, n)))
+            k = min(int(rng.integers(0, 4)), m, n)
+            oc = random_variates(rng, m, n, k) if k else OrderedVariates()
+            try:
+                opt, _ = lp_solve_oc(p, oc)
+            except Infeasible:
+                infeasible += 1
+                _, trace = solve(p, oc, SolverConfig(max_iters=200))
+                assert math.isfinite(trace.lower_bound)
+                continue
+            feasible += 1
+            _, trace = solve(p, oc)
+            scale = max(abs(opt), 1e-12)
+            assert trace.lower_bound <= opt + 1e-9 * scale
+            if trace.termination == "tol":
+                assert opt - trace.lower_bound <= 1e-3 * scale
+            for max_iters in (1, 16, 100):
+                _, early = solve(p, oc, SolverConfig(max_iters=max_iters))
+                assert early.lower_bound <= opt + 1e-9 * scale
+        assert feasible >= 50 and infeasible >= 20
+
+    def test_generators_are_the_up_sets(self):
+        # m(C) is the least mean of C over the up-closed cell sets of the
+        # order; on small grids, enumerate every cell subset and keep those.
+        # Any dual iterate gives a valid bound, so M is just random here.
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            p = validate_problem(a, b, rng.random((m, n)))
+            k = int(rng.integers(0, min(m, n) + 1))
+            oc = random_variates(rng, m, n, k) if k else OrderedVariates()
+            M, rho = rng.standard_normal((m, n)), float(rng.uniform(0.1, 10.0))
+            G = p.D + rho * M
+            u = G.mean(axis=1)
+            v = (G - u[:, None]).mean(axis=0)
+            C = (p.D - u[:, None] - v).ravel()
+            chain = [i * n + j for i, j in oc.pairs]  # bottom first
+            least = math.inf
+            for bits in range(1, 2 ** (m * n)):
+                cells = [c for c in range(m * n) if bits >> c & 1]
+                held = [c in cells for c in chain]
+                if any(lo and not hi for lo, hi in zip(held, held[1:])):
+                    continue  # a chain cell without the one above it
+                if any(c not in chain for c in cells) and not all(held):
+                    continue  # a tail cell without the whole chain
+                least = min(least, C[cells].mean())
+            cone = OrderConeProjector(oc, m, n) if k else None
+            want = p.a @ u + p.b @ v + p.a.sum() * least
+            assert certified_lower_bound(p, M, rho, cone) == pytest.approx(want, rel=1e-12, abs=1e-12)

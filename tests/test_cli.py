@@ -40,6 +40,8 @@ class TestSolveCommand:
         doc = json.loads(out)
         assert doc["objective"] == pytest.approx(0.5, abs=1e-3)
         assert doc["constraints"] == [[0, 1]]
+        # the certified lower bound never exceeds the LP optimum of 0.5
+        assert 0.5 - 1e-3 <= doc["lower_bound"] <= 0.5 + 1e-12
 
     def test_emit_z(self, capsys):
         code, out, _ = run(capsys, "solve", DATA / "analytic_2x2.json", "--emit-z")
@@ -178,6 +180,7 @@ class TestSearchCommand:
         for node in doc["tree"]:
             solved = node["status"] in ("root", "solved")
             assert (node["termination"] is not None) == solved
+            assert (node["lower_bound"] is not None) == solved
 
 
 class TestBoundCommand:

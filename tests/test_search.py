@@ -12,8 +12,10 @@ from ocot import (
     saturation,
     validate_problem,
 )
+from ocot.cli import search_dot
 from ocot.errors import Infeasible, InvalidConfig
 from ocot.oracle import lp_solve_oc
+from ocot.search import COLOR_TAUS
 
 TIGHT = SolverConfig(tol=1e-6, max_iters=30_000)
 
@@ -194,8 +196,9 @@ class TestBranchAndBound:
 class TestConvergedCandidatesOnly:
     def test_no_lp_infeasible_set_is_ranked(self):
         # skewed marginals make many chains LP-infeasible; their solves stop
-        # at the iteration cap and must not be ranked or expanded, while the
-        # feasible chains still converge and get ranked
+        # at the iteration cap (or end dominated once the top-k2 set is full)
+        # and must not be ranked or expanded, while the feasible chains still
+        # converge and get ranked
         rng = np.random.default_rng(0)
         cfg = SearchConfig(tau1=0.6, tau2=1.0, k1=10, k2=3, k3=2)
         solver_cfg = SolverConfig(max_iters=1000)
@@ -217,9 +220,43 @@ class TestConvergedCandidatesOnly:
                 assert res.node(node_id).termination == "tol"
             for nd in res.trace:
                 if nd.status == "solved" and nd.termination != "tol":
-                    not_converged += 1
-                    assert nd.expand_skip_reason == "not-converged"
+                    not_converged += nd.termination == "max_iters"
+                    assert nd.expand_skip_reason == (
+                        "dominated" if nd.termination == "dominated" else "not-converged"
+                    )
                     assert not nd.expanded
                     assert nd.node_id not in res.candidates.node_ids()
         assert ranked_sets > 0
         assert not_converged > 0
+
+
+class TestDominatedSolves:
+    CFG = dict(tau1=COLOR_TAUS[0], tau2=COLOR_TAUS[1], k1=20, k2=5, k3=2)
+
+    def test_dominated_nodes_are_not_ranked_or_expanded(self):
+        p = uniform_problem(np.random.default_rng(1), 14, 8)
+        res = branch_and_bound(p, SearchConfig(**self.CFG))
+        solved = [nd for nd in res.trace if nd.status == "solved"]
+        dominated = [nd for nd in solved if nd.termination == "dominated"]
+        assert len(solved) == 20
+        assert dominated
+        worst = res.candidates.worst_objective
+        ranked = set(res.candidates.node_ids())
+        for nd in dominated:
+            assert nd.node_id not in ranked
+            assert not nd.expanded
+            assert nd.expand_skip_reason == "dominated"
+            assert nd.lower_bound > worst
+            assert not any(child.parent_id == nd.node_id for child in res.trace)
+        for nd in res.trace:
+            assert (nd.lower_bound is not None) == (nd.status in ("root", "solved"))
+        dot = search_dot(res)
+        assert dot.count("dominated: lb=") == len(dominated)
+
+    def test_no_prune_search_never_cuts_a_solve_short(self):
+        # without pruning no solve gets a cutoff, so the exhaustive result
+        # stays the one --no-prune promises
+        p = uniform_problem(np.random.default_rng(1), 14, 8)
+        res = branch_and_bound(p, SearchConfig(prune=False, **self.CFG))
+        assert not any(nd.termination == "dominated" for nd in res.trace)
+        assert "dominated" not in search_dot(res)
