@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OrderedVariates, Problem, TransportPlan, objective
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ShapeMismatch
 from .projections import OrderConeProjector, project_marginals
 
 DEFAULT_RHO = 1.0
@@ -43,14 +43,16 @@ class SolverConfig:
 @dataclass
 class SolverTrace:
     """Per-iteration objective and residual history, the stop reason
-    (``tol``, ``max_iters`` or ``dominated``) and the certified lower bound
-    on the LP optimum at the last iterate."""
+    (``tol``, ``max_iters`` or ``dominated``), the certified lower bound
+    on the LP optimum at the last iterate and the final scaled dual M, which
+    with the plan's Z can start another solve."""
 
     objectives: np.ndarray = field(default_factory=lambda: np.empty(0))
     primal: np.ndarray = field(default_factory=lambda: np.empty(0))
     dual: np.ndarray = field(default_factory=lambda: np.empty(0))
     termination: str = ""
     lower_bound: float = -math.inf
+    scaled_dual: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def iterations(self) -> int:
@@ -95,8 +97,16 @@ def solve(
     oc: OrderedVariates | None = None,
     cfg: SolverConfig | None = None,
     cutoff: float | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[TransportPlan, SolverTrace]:
-    """Run the splitting from Z = M = 0 until both residuals clear ``cfg.tol``.
+    """Run the splitting from ``start = (Z, M)`` until both residuals clear ``cfg.tol``.
+
+    Without a start the splitting begins at Z = M = 0. ADMM converges from
+    any starting point (Boyd et al. 2011, section 3.2), so a start changes
+    how many rounds a solve takes and where within ``tol`` it stops, not
+    what it converges to. ``start`` is copied, never mutated, and may come
+    from a solve of another constraint set, as the search takes it from a
+    parent node's final Z and scaled dual.
 
     Hitting the iteration cap is not an error: the trace reports
     ``termination == "max_iters"`` with the final residuals, which is the
@@ -106,7 +116,8 @@ def solve(
     exceeds ``cutoff + CUTOFF_MARGIN * |cutoff|``: the optimum is then proven
     above the cutoff. Without one, the rounds are exactly those of a plain
     solve. The returned plan is the last X with its order-feasible twin Z
-    attached; the trace carries the bound at the last iterate.
+    attached; the trace carries the bound and the scaled dual M at the last
+    iterate.
     """
     oc = oc if oc is not None else OrderedVariates()
     cfg = cfg if cfg is not None else SolverConfig()
@@ -123,8 +134,14 @@ def solve(
     a, b, D = problem.a, problem.b, problem.D
     rho, tol = cfg.rho, cfg.tol
     D_over_rho = D / rho
-    Z = np.zeros((m, n))
-    M = np.zeros((m, n))
+    if start is None:
+        Z = np.zeros((m, n))
+        M = np.zeros((m, n))
+    else:
+        Z, M = (np.array(S, dtype=float) for S in start)
+        for name, S in (("Z", Z), ("M", M)):
+            if S.shape != (m, n):
+                raise ShapeMismatch(f"start {name} has shape {S.shape}, expected {(m, n)}")
     X = np.empty((m, n))
     W = np.empty((m, n))  # scratch shared by both projection inputs
     Z_new = np.empty((m, n))
@@ -180,5 +197,6 @@ def solve(
         dual=np.array(duals),
         termination=termination,
         lower_bound=certified_lower_bound(problem, M, rho, cone),
+        scaled_dual=M,
     )
     return plan, trace

@@ -195,9 +195,9 @@ def _search_config(args, taus=None) -> SearchConfig:
 
 
 def search_dot(result: SearchResult) -> str:
-    """Graphviz rendering of the searched tree: ranks on the kept plans,
-    certified bounds on dominated solves, dashed nodes for prunes, red for
-    the learnt subtree."""
+    """Graphviz rendering of the searched tree: ranks on the kept plans, the
+    stop reason and certified bound on solves that did not end on tol, dashed
+    nodes for prunes, red for the learnt subtree."""
     ranks = {nid: r + 1 for r, nid in enumerate(result.candidates.node_ids())}
     subtree = set(result.subtree)
     out = ["digraph search {", "  rankdir=TB;"]
@@ -205,11 +205,11 @@ def search_dot(result: SearchResult) -> str:
         name = "root" if node.depth == 0 else str(list(node.variates.ranked()))
         label = name
         attrs = []
-        if node.termination == "dominated":
-            label += f"\\ndominated: lb={node.lower_bound:.6g}"
-            attrs.append("shape=box")
-        elif node.status in ("root", "solved"):
-            label += f"\\nobj={node.objective:.6g}"
+        if node.status in ("root", "solved"):
+            if node.objective is None:
+                label += f"\\n{node.termination}: lb={node.lower_bound:.6g}"
+            else:
+                label += f"\\nobj={node.objective:.6g}"
             if node.node_id in ranks:
                 label += f"\\nrank={ranks[node.node_id]}"
             attrs.append("shape=box")
@@ -255,6 +255,7 @@ def _search_doc(result: SearchResult, include_plans: bool = True) -> dict:
             "objective": node.objective,
             "termination": node.termination,
             "lower_bound": node.lower_bound,
+            "iterations": None if node.plan is None else node.plan.iterations,
             "expanded": node.expanded,
             "expand_skip_reason": node.expand_skip_reason,
         }

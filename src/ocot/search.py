@@ -95,7 +95,7 @@ def candidate_variates(
     return out
 
 
-@dataclass
+@dataclass(slots=True)  # a result keeps every node; slots keep that small
 class SearchNode:
     """One tree node with its decision record."""
 
@@ -107,7 +107,7 @@ class SearchNode:
     status: str = "open"  # open | root | solved | pruned
     prune_reason: str | None = None  # bound | parent-cost
     bound: float | None = None
-    objective: float | None = None
+    objective: float | None = None  # the ranked value; None unless the solve ended on tol
     plan: TransportPlan | None = None
     termination: str | None = None  # the solve's stop reason; None when not solved
     lower_bound: float | None = None  # the solve's certified bound; None when not solved
@@ -142,6 +142,11 @@ class CandidateSet:
     def worst_objective(self) -> float:
         return self.entries[-1][0]
 
+    @property
+    def worst_key(self) -> tuple[float, tuple[tuple[int, int], ...]]:
+        """The (objective, listing) the k2-th entry sorts on."""
+        return self.entries[-1][:2]
+
     def node_ids(self) -> list[int]:
         return [e[2] for e in self.entries]
 
@@ -165,12 +170,19 @@ def branch_and_bound(
     """Best-first constraint search returning the top-k2 plans and the trace.
 
     The root solve is exact and unconstrained; its dense entropic twin seeds
-    the frontier. A popped node is solved only while fewer than k2 candidates
-    exist or its bound (and its parent's objective, both admissible) beats the
+    the frontier. Each loop solve starts from its parent's final (Z, M): a
+    child's chain is its parent's plus one cell, so the parent's iterate is
+    close. A popped node is solved only while fewer than k2 candidates exist
+    or its bound (and its parent's objective, both admissible) beats the
     current k2-th best; solved nodes expand unless they sit at the depth cap
-    or failed to improve. Only solves that end on ``tol`` are ranked, the
-    root's included; a loop solve that stops short is not expanded either.
-    Once k2 candidates exist and pruning is on, a solve gets the k2-th best
+    or failed to improve. Only solves that end on ``tol`` carry an objective
+    and are ranked, the root's included; a loop solve that stops short is not
+    expanded either. A node's objective is the larger of its own and its
+    parent's, since an LP optimum never falls along a path; ranking sorts on
+    (objective, listing), and parent-cost pruning skips a child only when
+    (parent objective, child listing) sorts after the k2-th entry, so
+    pruning and ranking agree where tol-level noise splits LP ties. Once k2
+    candidates exist and pruning is on, a solve gets the k2-th best
     objective as its cutoff and ends ``dominated`` when its certified lower
     bound proves it above that: such a node counts against k1 but is neither
     ranked nor expanded, since no child's optimum is below its own. The
@@ -194,7 +206,7 @@ def branch_and_bound(
         parent_id=None,
         parent_objective=None,
         status="root",
-        objective=root_plan.objective,
+        objective=root_plan.objective if root_trace.termination == "tol" else None,
         plan=root_plan,
         termination=root_trace.termination,
         lower_bound=root_trace.lower_bound,
@@ -205,6 +217,9 @@ def branch_and_bound(
         candidates.add(root_plan.objective, root.variates, 0, root_plan)
 
     heap: list[tuple[float, tuple[tuple[int, int], ...], int]] = []
+    # the final scaled dual of each expanded node, the other half of its
+    # children's start; kept for expanded nodes only
+    duals = {0: root_trace.scaled_dual}
 
     def push_children(parent: SearchNode, stats_plan: np.ndarray):
         for (i, j), phi_val in candidate_variates(problem, stats_plan, cfg):
@@ -224,13 +239,16 @@ def branch_and_bound(
 
     count = 0
     while count < cfg.k1 and heap:
-        _, _, node_id = heapq.heappop(heap)
+        _, listing, node_id = heapq.heappop(heap)
         node = trace[node_id]
 
         cutoff = None  # the k2-th best objective, once pruning applies
         if cfg.prune and candidates.full:
             cutoff = candidates.worst_objective
-            if node.parent_objective is not None and node.parent_objective >= cutoff:
+            if (
+                node.parent_objective is not None
+                and (node.parent_objective, listing) > candidates.worst_key
+            ):
                 node.status = "pruned"
                 node.prune_reason = "parent-cost"
                 node.expand_skip_reason = "not-solved"
@@ -242,10 +260,13 @@ def branch_and_bound(
                 node.expand_skip_reason = "not-solved"
                 continue
 
-        plan, solver_trace = solve(problem, node.variates, solver_cfg, cutoff=cutoff)
+        parent = trace[node.parent_id]
+        plan, solver_trace = solve(
+            problem, node.variates, solver_cfg, cutoff=cutoff,
+            start=(parent.plan.Z, duals[parent.node_id]),
+        )
         count += 1
         node.status = "solved"
-        node.objective = plan.objective
         node.plan = plan
         node.termination = solver_trace.termination
         node.lower_bound = solver_trace.lower_bound
@@ -254,15 +275,19 @@ def branch_and_bound(
                 "dominated" if node.termination == "dominated" else "not-converged"
             )
             continue
-        candidates.add(plan.objective, node.variates, node.node_id, plan)
+        node.objective = plan.objective
+        if node.parent_objective is not None:
+            node.objective = max(node.objective, node.parent_objective)
+        candidates.add(node.objective, node.variates, node.node_id, plan)
 
         if node.depth >= cfg.k3:
             node.expand_skip_reason = "depth"
             continue
-        if candidates.full and plan.objective >= candidates.worst_objective:
+        if candidates.full and node.objective >= candidates.worst_objective:
             node.expand_skip_reason = "no-improvement"
             continue
         node.expanded = True
+        duals[node.node_id] = solver_trace.scaled_dual
         push_children(node, plan.X)
 
     subtree_ids: set[int] = set()

@@ -6,9 +6,11 @@ import pytest
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, SolverConfig, check_membership, solve, validate_problem
 from ocot.admm import CERT_PERIOD, CUTOFF_MARGIN, certified_lower_bound
-from ocot.errors import Infeasible, InvalidConfig
+from ocot.errors import Infeasible, InvalidConfig, ShapeMismatch
 from ocot.oracle import lp_solve_oc
 from ocot.projections import OrderConeProjector, project_c1, project_c2_epava
+
+TIGHT = SolverConfig(tol=1e-7, max_iters=30_000)
 
 
 def small_instances(rng, count=50):
@@ -156,6 +158,56 @@ class TestSolve:
         assert trace.iterations == plan.iterations
         assert trace.objectives.size == trace.primal.size == trace.dual.size
         assert np.all(trace.primal >= 0.0) and np.all(trace.dual >= 0.0)
+
+
+class TestWarmStart:
+    def test_wrong_shaped_start_raises(self, symmetric_2x2):
+        good, bad = np.zeros((2, 2)), np.zeros((2, 3))
+        for start in ((bad, good), (good, bad), (good, np.zeros(4))):
+            with pytest.raises(ShapeMismatch):
+                solve(symmetric_2x2, OrderedVariates(((0, 1),)), start=start)
+
+    def test_start_is_not_mutated(self):
+        rng = np.random.default_rng(41)
+        p = uniform_problem(rng, 6, 5)
+        child_oc = random_variates(rng, 6, 5, 2)  # pairs run bottom first
+        cfg = SolverConfig(max_iters=50)
+        parent, parent_trace = solve(p, OrderedVariates(child_oc.pairs[1:]), cfg)
+        Z, M = parent.Z.copy(), parent_trace.scaled_dual.copy()
+        child, _ = solve(p, child_oc, cfg, start=(parent.Z, parent_trace.scaled_dual))
+        assert np.array_equal(parent.Z, Z)
+        assert np.array_equal(parent_trace.scaled_dual, M)
+        assert not np.shares_memory(child.Z, parent.Z)
+
+    def test_converged_start_stops_at_once(self):
+        # a start converged well inside tol on the same constraint set is
+        # near the fixed point, so the first round's residuals clear tol, or
+        # the second's. (A start from a solve that stopped just under tol can
+        # take a few rounds: the residuals are not monotone.)
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            p = uniform_problem(rng, 6, 6)
+            oc = random_variates(rng, 6, 6, int(rng.integers(0, 3)))
+            plan, trace = solve(p, oc, TIGHT)
+            assert trace.termination == "tol"
+            again, again_trace = solve(p, oc, start=(plan.Z, trace.scaled_dual))
+            assert again_trace.termination == "tol"
+            assert again.iterations <= 2
+
+    def test_warm_child_reaches_the_lp_optimum(self):
+        # a child chain (parent plus one cell at the bottom) started from its
+        # parent's final (Z, M) converges to its own optimum, within the
+        # tolerance of the cold test_random_vs_lp_oracle
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            m, n = int(rng.integers(3, 7)), int(rng.integers(3, 7))
+            p = uniform_problem(rng, m, n)
+            child = random_variates(rng, m, n, int(rng.integers(1, min(m, n) + 1)))
+            parent_plan, parent_trace = solve(p, OrderedVariates(child.pairs[1:]))
+            plan, trace = solve(p, child, start=(parent_plan.Z, parent_trace.scaled_dual))
+            opt, _ = lp_solve_oc(p, child)
+            assert trace.termination == "tol"
+            assert abs(plan.objective - opt) <= 0.01 * max(abs(opt), 1e-12)
 
 
 class TestConvergenceBehaviour:

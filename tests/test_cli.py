@@ -182,6 +182,31 @@ class TestSearchCommand:
             assert (node["termination"] is not None) == solved
             assert (node["lower_bound"] is not None) == solved
 
+    def test_tree_reports_iterations_for_every_node(self, capsys, tmp_path):
+        # a 14x8 search whose later solves end dominated: every node carries
+        # its solve's iterations (null when not solved), and only solves that
+        # ended on tol carry an objective
+        rng = np.random.default_rng(1)
+        D = rng.random((14, 8))
+        path = write_json(
+            tmp_path, "p.json", {"a": [1 / 14] * 14, "b": [1 / 8] * 8, "D": D.tolist()}
+        )
+        code, out, _ = run(
+            capsys, "search", path,
+            "--tau1", "0.5", "--tau2", "1.0", "--k1", "20", "--k2", "5", "--k3", "2",
+        )
+        assert code == 0
+        tree = json.loads(out)["tree"]
+        solved = [node for node in tree if node["status"] in ("root", "solved")]
+        assert len(solved) == 21
+        assert {node["termination"] for node in solved} == {"tol", "dominated"}
+        for node in tree:
+            if node["status"] in ("root", "solved"):
+                assert isinstance(node["iterations"], int) and node["iterations"] >= 1
+            else:
+                assert node["iterations"] is None
+            assert (node["objective"] is not None) == (node["termination"] == "tol")
+
 
 class TestBoundCommand:
     def test_analytic_fixture(self, capsys):

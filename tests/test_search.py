@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ocot.baseline
+import ocot.search
 from conftest import random_variates, uniform_problem
 from ocot import (
     OrderedVariates,
@@ -134,12 +136,16 @@ class TestBranchAndBound:
         res = branch_and_bound(
             p, SearchConfig(tau1=0.7, tau2=1.0, k1=200, k2=3, k3=2), TIGHT
         )
+        # a node's ranked objective is the path maximum, so the check reads
+        # its own solve's <D, X>; solves that did not end on tol carry no
+        # objective (a dominated solve's early iterate can sit far below its
+        # certified bound) and are skipped
         for nd in res.trace:
-            if nd.status != "solved" or nd.parent_id is None:
+            if nd.status != "solved" or nd.parent_id is None or nd.objective is None:
                 continue
             parent = res.trace[nd.parent_id]
             if parent.objective is not None:
-                assert nd.objective >= parent.objective - 1e-5
+                assert nd.plan.objective >= parent.objective - 1e-5
 
     def test_candidate_membership(self):
         rng = np.random.default_rng(80)
@@ -191,6 +197,106 @@ class TestBranchAndBound:
                 assert parent in res.subtree
         ranks = res.candidates.node_ids()
         assert len(ranks) == len(set(ranks)) <= 5
+
+
+class TestLPTies:
+    # instances drawn as test_pruning_equivalence_exhaustive draws them. On
+    # the first eight a child's LP optimum ties its parent's and its solve
+    # comes out 1e-7 to 3e-6 below the parent's objective, so a search that
+    # ranks raw objectives and prunes on the parent's objective alone
+    # returned a different top-k2 set with pruning on than off. On the last
+    # two the k2-th entry is a sibling raised to the shared parent objective,
+    # and only the listing tells whether a tied child ranks.
+    TIES = (12, 15, 31, 43, 51, 61, 69, 75, 96, 141)
+
+    def test_pruning_agrees_with_ranking_at_lp_ties(self):
+        rng = np.random.default_rng(12345)
+        for idx in range(max(self.TIES) + 1):
+            m = int(rng.integers(4, 6))
+            n = int(rng.integers(4, 6))
+            p = uniform_problem(rng, m, n)
+            k2 = int(rng.integers(1, 4))
+            k3 = int(rng.integers(1, 3))
+            if idx not in self.TIES:
+                continue
+            base = dict(tau1=0.6, tau2=1.0, k1=5000, k2=k2, k3=k3)
+            on = branch_and_bound(p, SearchConfig(prune=True, **base), TIGHT)
+            off = branch_and_bound(p, SearchConfig(prune=False, **base), TIGHT)
+            got_on = [(o, v) for o, v, _, __ in on.candidates.entries]
+            got_off = [(o, v) for o, v, _, __ in off.candidates.entries]
+            assert [v for _, v in got_on] == [v for _, v in got_off], idx
+            for (obj_a, _), (obj_b, _) in zip(got_on, got_off):
+                assert obj_a == pytest.approx(obj_b, abs=1e-6)
+
+    def test_objective_is_the_path_maximum(self):
+        rng = np.random.default_rng(12345)
+        p = uniform_problem(rng, int(rng.integers(4, 6)), int(rng.integers(4, 6)))
+        res = branch_and_bound(p, SearchConfig(tau1=0.6, tau2=1.0, k1=200, k2=3, k3=2), TIGHT)
+        for nd in res.trace:
+            if nd.objective is None or nd.parent_id is None:
+                continue
+            parent = res.trace[nd.parent_id].objective
+            assert nd.objective == max(nd.plan.objective, parent)
+            assert nd.parent_objective == parent
+
+
+class TestWarmStart:
+    def test_each_solve_starts_from_its_parent(self, monkeypatch):
+        starts, duals = {}, {}
+
+        def recording(real):
+            def wrapper(problem, oc, cfg, **kwargs):
+                plan, trace = real(problem, oc, cfg, **kwargs)
+                key = tuple(oc.ranked())
+                starts[key] = kwargs.get("start")
+                duals[key] = trace.scaled_dual
+                return plan, trace
+            return wrapper
+
+        monkeypatch.setattr(ocot.search, "solve", recording(ocot.search.solve))
+        monkeypatch.setattr(ocot.baseline, "solve", recording(ocot.baseline.solve))
+        p = uniform_problem(np.random.default_rng(1), 14, 8)
+        res = branch_and_bound(p, SearchConfig(tau1=COLOR_TAUS[0], tau2=COLOR_TAUS[1], k1=20, k2=5, k3=2))
+        assert starts[()] is None  # the root starts cold
+        solved = [nd for nd in res.trace if nd.status == "solved"]
+        assert any(nd.depth == 2 for nd in solved)
+        for nd in solved:
+            parent = res.trace[nd.parent_id]
+            Z, M = starts[tuple(nd.variates.ranked())]
+            assert np.array_equal(Z, parent.plan.Z)
+            assert np.array_equal(M, duals[tuple(parent.variates.ranked())])
+        for nd in res.trace:
+            if nd.plan is not None:
+                # a child's solve never wrote into its parent's iterates: the
+                # stored Z still gives the primal residual the solve reported
+                w = (nd.plan.X - nd.plan.Z).ravel()
+                assert nd.plan.primal_residual == np.sqrt(w.dot(w))
+
+
+class TestUnconvergedSolves:
+    def test_only_tol_solves_carry_an_objective(self):
+        # skewed marginals: some chains are LP-infeasible and hit the cap,
+        # others end dominated; neither reports an objective, both keep the
+        # plan, and the DOT labels give the stop reason and the bound instead
+        rng = np.random.default_rng(0)
+        cfg = SearchConfig(tau1=0.6, tau2=1.0, k1=10, k2=3, k3=2)
+        seen = set()
+        for _ in range(6):
+            a = np.maximum(rng.dirichlet(np.full(4, 0.5)), 1e-3)
+            b = np.maximum(rng.dirichlet(np.full(4, 0.5)), 1e-3)
+            p = validate_problem(a / a.sum(), b / b.sum(), rng.random((4, 4)))
+            res = branch_and_bound(p, cfg, SolverConfig(max_iters=1000))
+            dot = search_dot(res)
+            for nd in res.trace:
+                if nd.status not in ("root", "solved"):
+                    assert nd.objective is None and nd.plan is None
+                    continue
+                assert nd.plan is not None
+                assert (nd.objective is not None) == (nd.termination == "tol")
+                seen.add(nd.termination)
+            stopped = [nd for nd in res.trace if nd.plan is not None and nd.objective is None]
+            assert dot.count(": lb=") == len(stopped)
+        assert {"tol", "max_iters"} <= seen
 
 
 class TestConvergedCandidatesOnly:
