@@ -439,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the result document here instead of stdout")
     p.set_defaults(func=cmd_color_transfer)
 
-    p = sub.add_parser("oracle", help="desk-scale reference solvers")
+    p = sub.add_parser("oracle", help="slow, independent reference solvers")
     osub = p.add_subparsers(dest="oracle_command", required=True)
-    q = osub.add_parser("lp", help="exact LP optimum via two-phase simplex")
+    q = osub.add_parser("lp", help="exact LP optimum and plan by HiGHS (needs scipy)")
     q.add_argument("input", help="problem document (JSON)")
     q.add_argument("--output")
     q.set_defaults(func=cmd_oracle_lp)

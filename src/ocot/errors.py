@@ -81,13 +81,5 @@ class Infeasible(ConstructionError):
     """A packing instance or LP has no feasible point."""
 
 
-class TooLarge(OcotError):
-    """Instance exceeds the desk-scale guard of the LP oracle."""
-
-
 class MaxIterations(OcotError):
     """An iterative oracle hit its iteration cap before converging."""
-
-
-class Unbounded(OcotError):
-    """The LP oracle detected an unbounded objective."""

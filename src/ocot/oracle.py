@@ -1,10 +1,11 @@
 """Slow, independent reference implementations used by tests and acceptance runs.
 
-Everything here trades speed for transparency: a textbook dense two-phase
-simplex with Bland's rule for desk-scale ground truth, a Dykstra projector
+Everything here trades speed for transparency: the order-constrained transport
+LP handed whole to HiGHS for exact optima at any size, a Dykstra projector
 that works directly off the explicit inequalities, a multiplier-reconstruction
 KKT verifier, and a dense least-squares solve of the marginal-projection
-optimality system.
+optimality system. The LP oracle needs scipy (the ``oracle`` extra), which it
+imports only when called, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -14,173 +15,57 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrderedVariates, Problem
-from .errors import Infeasible, MaxIterations, ShapeMismatch, TooLarge, Unbounded
-
-_PIVOT_TOL = 1e-9
-_LP_SIZE_GUARD = 8
-
-
-def _simplex_phase(T: np.ndarray, cost: np.ndarray, basis: list[int], ncols: int) -> None:
-    """Run Bland-rule pivots in place until the reduced costs are non-negative.
-
-    ``T`` is (rows, ncols+1) with the rhs in the last column; ``cost`` is the
-    reduced-cost row of length ncols+1 (last entry carries -objective).
-    Bland's rule: enter the lowest-index improving column, leave at the
-    lowest-index basic variable among the minimum-ratio rows, so cycling is
-    impossible and the pivot sequence is deterministic.
-    """
-    rows = T.shape[0]
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if cost[j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return
-        col = T[:, enter]
-        best_ratio = np.inf
-        leave = -1
-        for i in range(rows):
-            if col[i] > _PIVOT_TOL:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            raise Unbounded("LP objective is unbounded below")
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for i in range(rows):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
-        cost -= cost[enter] * T[leave]
-        basis[leave] = enter
-
-
-def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Solve min c.x s.t. A x = b, x >= 0 by the dense two-phase simplex.
-
-    Returns (optimum, x). Raises Infeasible when phase 1 cannot drive the
-    artificial variables to zero. Redundant equality rows (the transport
-    system has rank m+n-1) are dropped after phase 1.
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    rows, ncols = A.shape
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1 tableau: [A | I | b], basis on the artificials.
-    T = np.hstack([A, np.eye(rows), b[:, None]])
-    basis = list(range(ncols, ncols + rows))
-    cost = np.zeros(ncols + rows + 1)
-    cost[ncols : ncols + rows] = 1.0
-    cost -= T.sum(axis=0)
-    _simplex_phase(T, cost, basis, ncols + rows)
-    if -cost[-1] > 1e-7:
-        raise Infeasible(f"phase-1 optimum {-cost[-1]!r} > 0")
-
-    # Pivot artificials out of the basis; rows that cannot be pivoted are
-    # redundant in the original system and get dropped.
-    keep = []
-    for i in range(rows):
-        if basis[i] < ncols:
-            keep.append(i)
-            continue
-        piv = -1
-        for j in range(ncols):
-            if abs(T[i, j]) > _PIVOT_TOL:
-                piv = j
-                break
-        if piv < 0:
-            continue
-        T[i] /= T[i, piv]
-        for r in range(rows):
-            if r != i and T[r, piv] != 0.0:
-                T[r] -= T[r, piv] * T[i]
-        basis[i] = piv
-        keep.append(i)
-    T = np.hstack([T[keep][:, :ncols], T[keep][:, -1:]])
-    basis = [basis[i] for i in keep]
-
-    cost = np.zeros(ncols + 1)
-    cost[:ncols] = c
-    for i, bi in enumerate(basis):
-        cost -= c[bi] * T[i]
-    _simplex_phase(T, cost, basis, ncols)
-
-    x = np.zeros(ncols)
-    for i, bi in enumerate(basis):
-        x[bi] = T[i, -1]
-    return float(c @ x), x
-
-
-@dataclass(frozen=True)
-class ExplicitLP:
-    """The order-constrained transport LP in equality standard form.
-
-    Plan variables come first (row-major), followed by one slack per order
-    inequality; non-negativity is implicit in the standard form. The m+n
-    marginal equalities have rank m+n-1, which the two-phase solver handles.
-    """
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    num_plan_vars: int
-
-    @classmethod
-    def build(cls, problem: Problem, oc: OrderedVariates) -> "ExplicitLP":
-        m, n = problem.shape
-        mn = m * n
-        flat = lambda i, j: i * n + j
-        ineqs: list[tuple[int, int]] = []  # (lo, hi) meaning x[lo] - x[hi] <= 0
-        if oc.k:
-            top_flat = flat(*oc.pairs[0])
-            mask = oc.tail_mask(m, n)
-            for p in range(m):
-                for q in range(n):
-                    if mask[p, q]:
-                        ineqs.append((flat(p, q), top_flat))
-            for ell in range(oc.k - 1):
-                ineqs.append((flat(*oc.pairs[ell]), flat(*oc.pairs[ell + 1])))
-        nslack = len(ineqs)
-        A = np.zeros((m + n + nslack, mn + nslack))
-        b = np.zeros(m + n + nslack)
-        for i in range(m):
-            A[i, i * n : (i + 1) * n] = 1.0
-            b[i] = problem.a[i]
-        for j in range(n):
-            A[m + j, j:mn:n] = 1.0
-            b[m + j] = problem.b[j]
-        for r, (lo, hi) in enumerate(ineqs):
-            A[m + n + r, lo] = 1.0
-            A[m + n + r, hi] -= 1.0
-            A[m + n + r, mn + r] = 1.0
-        c = np.zeros(mn + nslack)
-        c[:mn] = problem.D.ravel()
-        return cls(c=c, A=A, b=b, num_plan_vars=mn)
+from .errors import Infeasible, MaxIterations, OcotError, ShapeMismatch
 
 
 def lp_solve_oc(problem: Problem, oc: OrderedVariates) -> tuple[float, np.ndarray]:
-    """Exact vertex optimum of the order-constrained transport LP.
+    """Exact optimum and plan of the order-constrained transport LP, by HiGHS.
 
-    Desk-scale only (m, n <= 8). Raises Infeasible when the constrained
-    polytope is empty, which is a finding, not a failure.
+    The marginals are equalities; the order constraints are one inequality
+    per tail cell (at most the chain's bottom cell) and one per chain link.
+    Raises Infeasible when the constrained polytope is empty, which is a
+    finding, not a failure.
     """
     m, n = problem.shape
-    if m > _LP_SIZE_GUARD or n > _LP_SIZE_GUARD:
-        raise TooLarge(f"LP oracle is guarded at {_LP_SIZE_GUARD}; got {m}x{n}")
     oc.check_bounds(m, n)
-    lp = ExplicitLP.build(problem, oc)
-    opt, x = simplex_solve(lp.c, lp.A, lp.b)
-    return opt, x[: lp.num_plan_vars].reshape(m, n)
+    try:
+        from scipy import sparse
+        from scipy.optimize import linprog
+    except ImportError as exc:
+        raise OcotError(
+            f"the LP oracle needs scipy, which the 'oracle' extra installs "
+            f"(pip install 'ocot[oracle]'): {exc}"
+        ) from exc
+    A_eq = sparse.vstack(
+        [sparse.kron(sparse.eye(m), np.ones((1, n))), sparse.kron(np.ones((1, m)), sparse.eye(n))]
+    )
+    A_ub = b_ub = None
+    if oc.k:
+        # row r reads x[lo[r]] - x[hi[r]] <= 0
+        chain = np.array([i * n + j for i, j in oc.pairs])
+        tail = np.flatnonzero(oc.tail_mask(m, n))
+        lo = np.concatenate([tail, chain[:-1]])
+        hi = np.concatenate([np.full(tail.size, chain[0]), chain[1:]])
+        rows = np.arange(lo.size)
+        A_ub = sparse.csr_matrix(
+            (np.repeat([1.0, -1.0], lo.size), (np.tile(rows, 2), np.concatenate([lo, hi]))),
+            shape=(lo.size, m * n),
+        )
+        b_ub = np.zeros(lo.size)
+    res = linprog(
+        problem.D.ravel(),
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=np.concatenate([problem.a, problem.b]),
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status == 2:
+        raise Infeasible(res.message)
+    if res.status != 0:
+        raise OcotError(f"HiGHS status {res.status}: {res.message}")
+    return float(res.fun), res.x.reshape(m, n)
 
 
 def pgd_project(

@@ -2,27 +2,20 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, lower_bound, lower_bound_detail, packing, validate_problem
 from ocot.errors import Infeasible, RepeatedIndices
-from ocot.oracle import lp_solve_oc, simplex_solve
+from ocot.oracle import lp_solve_oc
 
 
 def packing_lp(costs, u, alpha):
     """Generic LP solve of the packing problem (independent of the closed form)."""
     n = len(costs)
-    A = np.zeros((1 + n, 2 * n))
-    b = np.zeros(1 + n)
-    A[0, :n] = 1.0
-    b[0] = alpha
-    for i in range(n):
-        A[1 + i, i] = 1.0
-        A[1 + i, n + i] = 1.0
-        b[1 + i] = u
-    c = np.concatenate([np.asarray(costs, dtype=float), np.zeros(n)])
-    opt, _ = simplex_solve(c, A, b)
-    return opt
+    res = linprog(costs, A_eq=np.ones((1, n)), b_eq=[alpha], bounds=(0.0, u), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
 
 
 class TestPacking:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +320,24 @@ class TestOracleCommands:
         doc = json.loads(out)
         assert doc["optimum"] == pytest.approx(0.5)
 
+    def test_lp_beyond_eight_per_side(self, capsys, tmp_path):
+        rng = np.random.default_rng(9)
+        D = rng.random((9, 9))
+        doc = {"a": [1 / 9] * 9, "b": [1 / 9] * 9, "D": D.tolist(), "constraints": [[4, 2], [0, 7]]}
+        code, out, _ = run(capsys, "oracle", "lp", write_json(tmp_path, "p.json", doc))
+        assert code == 0
+        doc = json.loads(out)
+        plan = np.asarray(doc["plan"])
+        assert plan.shape == (9, 9)
+        assert plan[4, 2] >= plan[0, 7] - 1e-12
+        assert doc["optimum"] == pytest.approx(float(np.sum(D * plan)), rel=1e-12)
+
+    def test_lp_without_scipy(self, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        code, _, err = run(capsys, "oracle", "lp", DATA / "analytic_2x2.json")
+        assert code == 2
+        assert "'oracle' extra" in err
+
     def test_lp_infeasible_exit(self, capsys, tmp_path):
         path = write_json(
             tmp_path,
@@ -376,3 +397,12 @@ class TestOracleCommands:
         code, _, err = run(capsys, "oracle", "project", path)
         assert code == 2
         assert "ParseError" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only inside the LP oracle; loading it at startup
+    # would add its import time and memory to every command
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import ocot, ocot.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,34 +1,12 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import random_variates, uniform_problem
-from ocot import OrderedVariates, feasible_point, solve, validate_problem
-from ocot.errors import ConstructionError, Infeasible, ShapeMismatch, TooLarge
-from ocot.oracle import ExplicitLP, kkt_verify, lp_solve_oc, pgd_project, simplex_solve
+from ocot import OrderedVariates, check_membership, feasible_point, objective, solve, validate_problem
+from ocot.errors import ConstructionError, Infeasible, OcotError, ShapeMismatch
+from ocot.oracle import kkt_verify, lp_solve_oc, pgd_project
 from ocot.projections import project_c2_epava
-
-
-class TestSimplex:
-    def test_basic_lp(self):
-        # min -x1 - x2 s.t. x1 + x2 + s = 1
-        opt, x = simplex_solve(
-            np.array([-1.0, -1.0, 0.0]), np.array([[1.0, 1.0, 1.0]]), np.array([1.0])
-        )
-        assert opt == pytest.approx(-1.0)
-        assert x[:2].sum() == pytest.approx(1.0)
-
-    def test_infeasible_lp(self):
-        A = np.array([[1.0, 0.0], [1.0, 0.0]])
-        b = np.array([1.0, 2.0])
-        with pytest.raises(Infeasible):
-            simplex_solve(np.zeros(2), A, b)
-
-    def test_redundant_rows(self):
-        # duplicated constraint row; the transport system is rank-deficient too
-        A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        b = np.array([1.0, 1.0])
-        opt, x = simplex_solve(np.array([2.0, 1.0]), A, b)
-        assert opt == pytest.approx(1.0)
 
 
 class TestLpSolveOC:
@@ -47,11 +25,6 @@ class TestLpSolveOC:
         with pytest.raises(ShapeMismatch):
             lp_solve_oc(p, OrderedVariates(((0, 1),)))
 
-    def test_size_guard(self):
-        p = validate_problem(np.full(9, 1 / 9), np.full(9, 1 / 9), np.ones((9, 9)))
-        with pytest.raises(TooLarge):
-            lp_solve_oc(p, OrderedVariates())
-
     def test_infeasible_is_a_finding(self):
         p = validate_problem([0.9, 0.1], [0.9, 0.1], np.ones((2, 2)))
         oc = OrderedVariates(((1, 1),))
@@ -61,12 +34,26 @@ class TestLpSolveOC:
         with pytest.raises(ConstructionError):
             feasible_point(p, oc, [0.1])
 
-    def test_explicit_lp_row_counts(self, symmetric_2x2):
-        oc = OrderedVariates(((0, 1), (1, 0)))
-        lp = ExplicitLP.build(symmetric_2x2, oc)
-        m, n, k = 2, 2, 2
-        ineq = (m * n - k) + (k - 1)
-        assert lp.A.shape == (m + n + ineq, m * n + ineq)
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("side", [5, 16, 32, 64])
+    def test_plans_at_size(self, side, k):
+        # no size cap: the plan is a member of the constrained polytope and
+        # the optimum is its cost
+        rng = np.random.default_rng(side * 10 + k)
+        p = uniform_problem(rng, side, side)
+        oc = random_variates(rng, side, side, k)
+        opt, plan = lp_solve_oc(p, oc)
+        assert check_membership(p, oc, plan, tol=1e-9).ok
+        assert opt == pytest.approx(objective(p, plan), rel=1e-12, abs=1e-15)
+
+    def test_other_solver_status_is_an_error(self, symmetric_2x2, monkeypatch):
+        def stalled(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=4, message="Numerical difficulties")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", stalled)
+        with pytest.raises(OcotError, match="Numerical difficulties") as info:
+            lp_solve_oc(symmetric_2x2, OrderedVariates())
+        assert not isinstance(info.value, Infeasible)
 
     def test_agrees_with_admm(self):
         rng = np.random.default_rng(60)
