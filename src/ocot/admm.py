@@ -18,7 +18,7 @@ from .core import OrderedVariates, Problem, TransportPlan, objective
 from .errors import InvalidConfig, ShapeMismatch
 from .projections import OrderConeProjector, project_marginals
 
-DEFAULT_RHO = 1.0
+DEFAULT_RHO = 3.0  # chosen by a sweep over 1, 2, 3, 5 and 8 on the benchmark's workloads (README)
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-4
 CERT_PERIOD = 16  # rounds between bound evaluations in a solve with a cutoff

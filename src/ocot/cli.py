@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import bounds, oracle
-from .admm import SolverConfig, solve
+from .admm import DEFAULT_MAX_ITERS, DEFAULT_RHO, DEFAULT_TOL, SolverConfig, solve
 from .core import OrderedVariates, Problem, validate_problem
 from .errors import (
     ConstructionError,
@@ -389,9 +389,12 @@ def cmd_oracle_project(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float, default=1.0, help="ADMM penalty (default 1.0)")
-    p.add_argument("--max-iters", type=int, default=10_000, help="iteration cap (default 10000)")
-    p.add_argument("--tol", type=float, default=1e-4, help="residual threshold (default 1e-4)")
+    p.add_argument("--rho", type=float, default=DEFAULT_RHO,
+                   help=f"ADMM penalty (default {DEFAULT_RHO:g})")
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
+                   help=f"iteration cap (default {DEFAULT_MAX_ITERS})")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"residual threshold (default {DEFAULT_TOL:g})")
 
 
 def _add_search_flags(p: argparse.ArgumentParser, default_taus=None) -> None:

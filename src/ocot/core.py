@@ -167,17 +167,6 @@ class MembershipReport:
         return self.max_violation <= self.tol
 
 
-def descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting ``values`` descending, ties broken by original position.
-
-    This is the single rank rule used everywhere (projection pooling, greedy
-    tie-breaks); it is a total order, so repeated calls on equal input agree.
-    A stable sort on the negated values keeps equal entries in row-major order.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    return (-values).argsort(kind="stable")
-
-
 def validate_problem(a, b, D, renormalize: bool = False) -> Problem:
     """Validate raw marginals and costs and return an immutable Problem.
 

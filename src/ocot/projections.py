@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrderedVariates, Problem, descending_order
+from .core import OrderedVariates, Problem
 from .errors import EmptyConstraints, NoZero, ShapeMismatch, UnequalMass
 
 
@@ -72,12 +72,12 @@ class PrefixExhausted(Exception):
 class ThresholdEvaluator:
     """Evaluation of the top-block threshold over a ranked tail prefix.
 
-    ``sorted_tail`` holds the largest unconstrained cell values descending
-    (ties in row-major position order): the whole tail when ``complete``,
-    otherwise only a top prefix of it, which costs O(N) to select instead of
-    O(N log N) to sort all N tail cells. ``x_top`` is the bottom-of-chain cell
-    value. ``breakpoints[s-1]`` is the dual value at which the pooled prefix
-    grows from s-1 to s cells; it is non-decreasing, so lookup is a bisection.
+    ``sorted_tail`` holds the largest unconstrained cell values descending:
+    the whole tail when ``complete``, otherwise only a top prefix of it, which
+    costs O(N) to select instead of O(N log N) to sort all N tail cells.
+    ``x_top`` is the bottom-of-chain cell value. ``breakpoints[s-1]`` is the
+    dual value at which the pooled prefix grows from s-1 to s cells; it is
+    non-decreasing, so lookup is a bisection.
     A truncated evaluator raises ``PrefixExhausted`` rather than answer a
     lookup whose pooled count reaches the end of its prefix.
     """
@@ -86,35 +86,26 @@ class ThresholdEvaluator:
     x_top: float
     prefix_sums: np.ndarray
     breakpoints: np.ndarray
-    tail_positions: np.ndarray  # flat indices of sorted_tail in the source matrix
     complete: bool
 
     @classmethod
-    def from_values(
-        cls, x_top: float, tail, positions=None, top_k: int | None = None
-    ) -> "ThresholdEvaluator":
-        """Rank ``tail`` by ``descending_order`` and build the breakpoints.
+    def from_values(cls, x_top: float, tail, top_k: int | None = None) -> "ThresholdEvaluator":
+        """Sort the ``tail`` values descending and build the breakpoints.
 
-        ``positions`` are the tail cells' flat indices in the source matrix
-        (default: their indices in ``tail``). With ``top_k`` set and a tail
-        at least ``PREFIX_MIN_RATIO`` times longer, only the cells at or above
-        the (top_k+1)-th largest value are ranked: taken in position order
-        and stably sorted, they are exactly the head of the full ranking, so
-        every sum and breakpoint over them is bit-identical to the full one.
+        Only values are ranked, not cells: equal values are interchangeable in
+        every sum, and the projection writes the tail by clipping. With
+        ``top_k`` set and a tail at least ``PREFIX_MIN_RATIO`` times longer,
+        only the values at or above the (top_k+1)-th largest are sorted; they
+        are exactly the head of the full ranking, so every sum and breakpoint
+        over them is bit-identical to the full one.
         """
         tail = np.asarray(tail, dtype=float).ravel()
         N = tail.size
-        if positions is None:
-            positions = np.arange(N)
-        else:
-            positions = np.asarray(positions)
         if top_k is not None and N >= PREFIX_MIN_RATIO * top_k:
             pivot = np.partition(tail, N - top_k - 1)[N - top_k - 1]
-            keep = np.flatnonzero(tail >= pivot)
-            order = keep[descending_order(tail[keep])]
+            srt = np.sort(tail[tail >= pivot])[::-1]
         else:
-            order = descending_order(tail)
-        srt = tail[order]
+            srt = np.sort(tail)[::-1]
         R = srt.size
         prefix = np.empty(R + 1)
         prefix[0] = 0.0
@@ -127,7 +118,6 @@ class ThresholdEvaluator:
             x_top=float(x_top),
             prefix_sums=prefix,
             breakpoints=brk,
-            tail_positions=positions[order],
             complete=R == N,
         )
 
@@ -146,7 +136,7 @@ def threshold_T(ev: ThresholdEvaluator, eta: float) -> tuple[float, int]:
     return max(tau, 0.0), t
 
 
-def solve_eta(ev: ThresholdEvaluator, q: int, delta_2q: float) -> float:
+def solve_eta(ev: ThresholdEvaluator, q: int, delta_2q: float, T0: float | None = None) -> float:
     """Root of T(eta) = delta_2q + eta / (q - 1) for eta >= 0.
 
     T is piecewise linear and non-increasing while the right side increases,
@@ -154,11 +144,13 @@ def solve_eta(ev: ThresholdEvaluator, q: int, delta_2q: float) -> float:
     every breakpoint in one pass; the count of breakpoints at or below zero or
     still above the line is the pooled count t on the root's piece. There
     T = max((c_t - eta) / (t + 1), 0), the larger of two decreasing lines, so
-    the root is the larger of their two roots.
+    the root is the larger of their two roots. ``T0`` is T(0) when the
+    caller already holds it; otherwise it is evaluated here.
     """
     if q < 2:
         raise NoZero(f"q = {q} < 2")
-    T0 = threshold_T(ev, 0.0)[0]
+    if T0 is None:
+        T0 = threshold_T(ev, 0.0)[0]
     r0 = T0 - delta_2q
     if r0 < 0.0:
         if r0 > -1e-9 * max(1.0, abs(T0), abs(delta_2q)):
@@ -185,15 +177,14 @@ class BlockPartition:
     Boundaries are 0-based chain slots; ``val`` is strictly increasing across
     blocks on exit (equal neighbours coalesce). ``eta_tilde`` is the last dual
     value solved for the bottom block (0.0 when never solved), and
-    ``(val[0], pooled)`` is ``threshold_T`` at it: the bottom block's value
-    and the count of tail cells pooled into that block.
+    ``threshold_T`` at it gives the bottom block's value ``val[0]`` and the
+    count of tail cells pooled into that block.
     """
 
     le: list[int]
     ri: list[int]
     val: list[float]
     eta_tilde: float
-    pooled: int
 
     @property
     def B(self) -> int:
@@ -214,7 +205,7 @@ def epava_blocks(chain: np.ndarray, ev: ThresholdEvaluator) -> BlockPartition:
     eta_tilde = 0.0
     le = [0]
     ri = [0]
-    T0, pooled = threshold_T(ev, 0.0)
+    T0 = threshold_T(ev, 0.0)[0]  # every merge's root search starts from T(0)
     val = [T0]
     for ell in range(1, k):
         le.append(ell)
@@ -224,8 +215,8 @@ def epava_blocks(chain: np.ndarray, ev: ThresholdEvaluator) -> BlockPartition:
             q = ri[-1]
             if len(val) == 2:
                 delta = float(add_reduce(chain[1 : q + 1])) / q  # slots 1..q join the bottom block
-                eta_tilde = solve_eta(ev, q + 1, delta)
-                val[0], pooled = threshold_T(ev, eta_tilde)
+                eta_tilde = solve_eta(ev, q + 1, delta, T0)
+                val[0] = threshold_T(ev, eta_tilde)[0]
                 ri[0] = q
             else:
                 val[-2] = float(add_reduce(chain[le[-2] : q + 1])) / (q + 1 - le[-2])
@@ -233,7 +224,7 @@ def epava_blocks(chain: np.ndarray, ev: ThresholdEvaluator) -> BlockPartition:
             le.pop()
             ri.pop()
             val.pop()
-    return BlockPartition(le=le, ri=ri, val=val, eta_tilde=eta_tilde, pooled=pooled)
+    return BlockPartition(le=le, ri=ri, val=val, eta_tilde=eta_tilde)
 
 
 class OrderConeProjector:
@@ -241,10 +232,10 @@ class OrderConeProjector:
 
     Precomputes the constrained and the unconstrained flat indices, so each
     call is ``ThresholdEvaluator.from_values`` (a top-``top_k`` prefix of the
-    tail on large tails, else one tail sort) plus the linear chain sweep; the
-    solver re-projects every round. ``top_k`` starts at m + n and doubles,
-    for the rest of this projector's life, whenever the pooled count reaches
-    the end of the prefix.
+    tail on large tails, else one tail sort) plus the linear chain sweep and
+    one clip of the whole matrix; the solver re-projects every round.
+    ``top_k`` starts at m + n and doubles, for the rest of this projector's
+    life, whenever the pooled count reaches the end of the prefix.
     """
 
     def __init__(self, oc: OrderedVariates, m: int, n: int):
@@ -271,16 +262,20 @@ class OrderConeProjector:
         chain = x[self.chain_flat]
         tail = x[self.tail_flat]
         while True:
-            ev = ThresholdEvaluator.from_values(chain[0], tail, self.tail_flat, self.top_k)
+            ev = ThresholdEvaluator.from_values(chain[0], tail, self.top_k)
             try:
                 blocks = epava_blocks(chain, ev)
                 break
             except PrefixExhausted:
                 self.top_k *= 2
 
+        # The pooled tail cells are the ones at or above the bottom block's
+        # value T and take T; every other tail cell lies below T and takes
+        # max(x, 0). So min(max(x, 0), T) writes the whole tail without
+        # ranking positions, and the chain's block values overwrite their cells.
         flat = out.reshape(-1)
         np.maximum(x, 0.0, out=flat)
-        flat[ev.tail_positions[: blocks.pooled]] = blocks.val[0]
+        np.minimum(flat, blocks.val[0], out=flat)
         for lo, hi, v in zip(blocks.le, blocks.ri, blocks.val):
             flat[self.chain_flat[lo : hi + 1]] = v
         return out

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocot.cli import main
+from ocot import SolverConfig
+from ocot.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -397,6 +398,18 @@ class TestOracleCommands:
         code, _, err = run(capsys, "oracle", "project", path)
         assert code == 2
         assert "ParseError" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "p.json"], ["search", "p.json"], ["color-transfer", "s.csv", "t.csv"]],
+)
+def test_solver_flag_defaults_are_the_library_defaults(argv):
+    # every command that solves takes --rho, --max-iters and --tol defaults
+    # from ocot.admm, so the CLI and SolverConfig() run the same solver
+    args = build_parser().parse_args(argv)
+    cfg = SolverConfig()
+    assert (args.rho, args.max_iters, args.tol) == (cfg.rho, cfg.max_iters, cfg.tol)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -9,7 +9,6 @@ from ocot import (
     objective,
     validate_problem,
 )
-from ocot.core import descending_order
 from ocot.errors import (
     CapacityViolated,
     NegativeEntry,
@@ -164,14 +163,6 @@ class TestInvariants:
             f_parent, _ = lp_solve_oc(p, parent)
             f_child, _ = lp_solve_oc(p, child)
             assert f_child >= f_parent - 1e-9
-
-    def test_rank_determinism(self):
-        values = np.array([0.3, 0.7, 0.3, 0.1, 0.7])
-        first = descending_order(values)
-        # ties resolve to the earlier (row-major) position, every time
-        np.testing.assert_array_equal(first, [1, 4, 0, 2, 3])
-        for _ in range(5):
-            np.testing.assert_array_equal(descending_order(values), first)
 
 
 class TestOrderedVariates:

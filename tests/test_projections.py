@@ -54,10 +54,14 @@ def bisection_root(ev, q, delta):
     return 0.5 * (lo + hi)
 
 
-def full_sort_evaluator(x_top, tail, positions):
+def full_sort_order(tail):
+    """Tail indices by descending value, ties in position order."""
+    return np.argsort(-tail, kind="stable")
+
+
+def full_sort_evaluator(x_top, tail):
     """The evaluator built from one stable descending sort of the whole tail."""
-    order = np.argsort(-tail, kind="stable")
-    srt = tail[order]
+    srt = tail[full_sort_order(tail)]
     prefix = np.concatenate([[0.0], np.cumsum(srt)])
     s = np.arange(1, srt.size + 1)
     brk = np.maximum.accumulate(x_top + prefix[1:] - (s + 1) * srt)
@@ -66,22 +70,24 @@ def full_sort_evaluator(x_top, tail, positions):
         x_top=float(x_top),
         prefix_sums=prefix,
         breakpoints=brk,
-        tail_positions=positions[order],
         complete=True,
     )
 
 
 def full_sort_projection(X, oc):
-    """Order-cone projection over the full-sort evaluator: Y, (T, t) and eta."""
+    """Order-cone projection over the full-sort evaluator: Y, (T, t) and eta.
+
+    The t pooled tail cells are written by position, the top t of the ranked
+    tail, as an independent check of the projector's clipping."""
     m, n = X.shape
     x = X.ravel()
     chain_flat = np.array([i * n + j for i, j in oc.pairs])
     tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
-    ev = full_sort_evaluator(x[chain_flat[0]], x[tail_flat], tail_flat)
+    ev = full_sort_evaluator(x[chain_flat[0]], x[tail_flat])
     blocks = epava_blocks(x[chain_flat], ev)
     T_val, t = threshold_T(ev, blocks.eta_tilde)
     Y = np.maximum(x, 0.0)
-    Y[ev.tail_positions[:t]] = T_val
+    Y[tail_flat[full_sort_order(x[tail_flat])[:t]]] = T_val
     for lo, hi, v in zip(blocks.le, blocks.ri, blocks.val):
         Y[chain_flat[lo : hi + 1]] = v
     return Y.reshape(m, n), (T_val, t), blocks.eta_tilde
@@ -383,7 +389,7 @@ class TestProjectC2:
                 assert blocks.le[ell + 1] == blocks.ri[ell] + 1
                 assert blocks.val[ell + 1] > blocks.val[ell]
             assert blocks.eta_tilde >= 0.0
-            assert (blocks.val[0], blocks.pooled) == threshold_T(ev, blocks.eta_tilde)
+            assert blocks.val[0] == threshold_T(ev, blocks.eta_tilde)[0]
 
 
 class TestPrefixPath:
@@ -396,11 +402,11 @@ class TestPrefixPath:
         Y_ref, Tt_ref, eta = full_sort_projection(X, oc)
         assert np.array_equal(Y, Y_ref)
         x = X.ravel()
-        args = (x[proj.chain_flat[0]], x[proj.tail_flat], proj.tail_flat)
+        args = (x[proj.chain_flat[0]], x[proj.tail_flat])
         ev = ThresholdEvaluator.from_values(*args, proj.top_k)
         ref = full_sort_evaluator(*args)
         R = ev.sorted_tail.size
-        assert np.array_equal(ev.tail_positions, ref.tail_positions[:R])
+        assert np.array_equal(ev.sorted_tail, ref.sorted_tail[:R])
         assert np.array_equal(ev.prefix_sums, ref.prefix_sums[: R + 1])
         assert np.array_equal(ev.breakpoints, ref.breakpoints[:R])
         assert threshold_T(ev, eta) == Tt_ref
@@ -411,7 +417,7 @@ class TestPrefixPath:
         x = X.ravel()
         tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
         x_top = x[oc.pairs[0][0] * n + oc.pairs[0][1]]
-        return not ThresholdEvaluator.from_values(x_top, x[tail_flat], tail_flat, m + n).complete
+        return not ThresholdEvaluator.from_values(x_top, x[tail_flat], m + n).complete
 
     @pytest.mark.parametrize("m, n", [(64, 64), (30, 150)])
     def test_matches_full_sort(self, m, n):
