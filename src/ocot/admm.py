@@ -162,8 +162,7 @@ def solve(
 
         np.add(X, M, out=W)
         project_c2(W, out=Z_new)
-        M += X
-        M -= Z_new
+        np.subtract(W, Z_new, out=M)  # M + X - Z_new, as W still holds X + M
         np.subtract(X, Z_new, out=W)
         primal = math.sqrt(w.dot(w))
         np.subtract(Z_new, Z, out=W)

@@ -69,10 +69,6 @@ class EmptyConstraints(OcotError):
     """The order-cone projection was called with no constrained variates."""
 
 
-class NoZero(OcotError):
-    """Internal logic error: the threshold equation has no root."""
-
-
 class NumericalUnderflow(OcotError):
     """Entropic kernel entries fell below the representable range."""
 

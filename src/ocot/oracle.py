@@ -205,9 +205,11 @@ def kkt_verify(
 def c1_project_dense(X: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Marginal projection via a dense least-squares solve of the KKT system.
 
-    Builds the full (mn + m + n) optimality system with the rank-deficient
-    constraint matrix and solves it with a pseudo-inverse; only sensible at
-    desk scale, as ground truth for the closed-form projector.
+    The optimality system [[I, A^T], [A, 0]] [Y; lam] = [X; a; b] with the
+    dense, rank-deficient constraint matrix A is reduced to its Schur
+    complement, A A^T lam = A X - [a; b], which is solved by least squares;
+    then Y = X - A^T lam, unique whatever null-space part lam carries. Ground
+    truth for the closed-form projector at O((m + n) m n) cost.
     """
     X = np.asarray(X, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -219,10 +221,6 @@ def c1_project_dense(X: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         A[i, i * n : (i + 1) * n] = 1.0
     for j in range(n):
         A[m + j, j::n] = 1.0
-    K = np.zeros((mn + m + n, mn + m + n))
-    K[:mn, :mn] = np.eye(mn)
-    K[:mn, mn:] = A.T
-    K[mn:, :mn] = A
-    rhs = np.concatenate([X.ravel(), a, b])
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    return sol[:mn].reshape(m, n)
+    x = X.ravel()
+    lam, *_ = np.linalg.lstsq(A @ A.T, A @ x - np.concatenate([a, b]), rcond=None)
+    return (x - A.T @ lam).reshape(m, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrderedVariates, Problem
-from .errors import EmptyConstraints, NoZero, ShapeMismatch, UnequalMass
+from .errors import EmptyConstraints, ShapeMismatch, UnequalMass
 
 
 def project_c1(problem: Problem, X: np.ndarray) -> np.ndarray:
@@ -38,18 +38,21 @@ def project_marginals(W: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarr
     """Closed-form marginal projection of ``W`` written into ``out``.
 
     Corrects each row by its sum defect spread over the columns, each column
-    likewise, and removes the double-counted total-mass defect. O(mn); all
-    sums are taken before ``out`` is written, so ``out`` may be ``W``. This is
-    the one kernel behind ``project_c1`` and the solver's marginal step.
+    likewise, and removes the double-counted total-mass defect, which is
+    taken from the row sums and folded into the column correction: two
+    reductions and two passes over the matrix. O(mn); all sums are taken
+    before ``out`` is written, so ``out`` may be ``W``. This is the one kernel
+    behind ``project_c1`` and the solver's marginal step.
     """
     m, n = W.shape
     add_reduce = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
-    row_defect = (a - add_reduce(W, axis=1)) / n
+    row_sums = add_reduce(W, axis=1)
+    row_defect = (a - row_sums) / n
+    total_defect = (float(add_reduce(a, axis=None)) - float(add_reduce(row_sums, axis=None))) / (m * n)
     col_defect = (b - add_reduce(W, axis=0)) / m
-    total_defect = (float(add_reduce(a, axis=None)) - float(add_reduce(W, axis=None))) / (m * n)
+    col_defect -= total_defect
     np.add(W, row_defect[:, None], out=out)
     out += col_defect[None, :]
-    out -= total_defect
     return out
 
 
@@ -62,9 +65,9 @@ PREFIX_MIN_RATIO = 10
 class PrefixExhausted(Exception):
     """A lookup reached the end of a truncated evaluator's prefix.
 
-    The pooled count it would return, or the piece holding a threshold root,
-    depends on tail cells outside the prefix; the caller rebuilds with a
-    longer prefix.
+    The pooled count it would return, for a threshold lookup or for a merge
+    into the bottom block, depends on tail cells outside the prefix; the
+    caller rebuilds with a longer prefix.
     """
 
 
@@ -95,15 +98,14 @@ class ThresholdEvaluator:
         Only values are ranked, not cells: equal values are interchangeable in
         every sum, and the projection writes the tail by clipping. With
         ``top_k`` set and a tail at least ``PREFIX_MIN_RATIO`` times longer,
-        only the values at or above the (top_k+1)-th largest are sorted; they
-        are exactly the head of the full ranking, so every sum and breakpoint
-        over them is bit-identical to the full one.
+        one partition selects the top_k + 1 largest values and only they are
+        sorted; they are exactly the head of the full ranking, so every sum
+        and breakpoint over them is bit-identical to the full one.
         """
         tail = np.asarray(tail, dtype=float).ravel()
         N = tail.size
         if top_k is not None and N >= PREFIX_MIN_RATIO * top_k:
-            pivot = np.partition(tail, N - top_k - 1)[N - top_k - 1]
-            srt = np.sort(tail[tail >= pivot])[::-1]
+            srt = np.sort(np.partition(tail, N - top_k - 1)[N - top_k - 1 :])[::-1]
         else:
             srt = np.sort(tail)[::-1]
         R = srt.size
@@ -136,49 +138,15 @@ def threshold_T(ev: ThresholdEvaluator, eta: float) -> tuple[float, int]:
     return max(tau, 0.0), t
 
 
-def solve_eta(ev: ThresholdEvaluator, q: int, delta_2q: float, T0: float | None = None) -> float:
-    """Root of T(eta) = delta_2q + eta / (q - 1) for eta >= 0.
-
-    T is piecewise linear and non-increasing while the right side increases,
-    so the root is unique when T(0) >= delta_2q. The residual is evaluated at
-    every breakpoint in one pass; the count of breakpoints at or below zero or
-    still above the line is the pooled count t on the root's piece. There
-    T = max((c_t - eta) / (t + 1), 0), the larger of two decreasing lines, so
-    the root is the larger of their two roots. ``T0`` is T(0) when the
-    caller already holds it; otherwise it is evaluated here.
-    """
-    if q < 2:
-        raise NoZero(f"q = {q} < 2")
-    if T0 is None:
-        T0 = threshold_T(ev, 0.0)[0]
-    r0 = T0 - delta_2q
-    if r0 < 0.0:
-        if r0 > -1e-9 * max(1.0, abs(T0), abs(delta_2q)):
-            return 0.0
-        raise NoZero(f"T(0) already below the line by {-r0!r}")
-
-    brk = ev.breakpoints
-    s = brk.searchsorted(brk, side="right")  # t at each breakpoint, as in threshold_T
-    T = np.maximum((ev.x_top - brk + ev.prefix_sums[s]) / (s + 1), 0.0)
-    t = int(np.count_nonzero((brk <= 0.0) | (T - delta_2q - brk * (1.0 / (q - 1)) >= 0.0)))
-    if t == brk.size and not ev.complete:
-        raise PrefixExhausted(f"threshold root lies past the {t}-cell prefix")
-    c_t = ev.x_top + ev.prefix_sums[t]  # tau hits zero at eta = c_t
-    root = max((q - 1) * (c_t - (t + 1) * delta_2q) / (t + q), -delta_2q * (q - 1))
-    lo = max(brk[t - 1], 0.0) if t else 0.0
-    hi = brk[t] if t < brk.size else np.inf
-    return float(min(max(root, lo), hi)) + 0.0
-
-
 @dataclass
 class BlockPartition:
     """Pool-adjacent-violators working state over the constrained chain.
 
     Boundaries are 0-based chain slots; ``val`` is strictly increasing across
-    blocks on exit (equal neighbours coalesce). ``eta_tilde`` is the last dual
-    value solved for the bottom block (0.0 when never solved), and
-    ``threshold_T`` at it gives the bottom block's value ``val[0]`` and the
-    count of tail cells pooled into that block.
+    blocks on exit (equal neighbours coalesce). ``eta_tilde`` is the dual
+    value of the bottom block's final merge (0.0 when nothing merged into
+    it): ``threshold_T`` at it gives the bottom block's value ``val[0]`` and
+    the count of tail cells pooled into that block.
     """
 
     le: list[int]
@@ -196,34 +164,57 @@ def epava_blocks(chain: np.ndarray, ev: ThresholdEvaluator) -> BlockPartition:
 
     ``chain[0]`` is the bottom slot whose block value is the tail-aware
     threshold; higher slots start as singleton blocks and coalesce downward
-    whenever monotonicity fails. Merging into the bottom block re-solves the
-    threshold equation with the running mean of the other merged slots.
+    whenever monotonicity fails (Best & Chakravarti 1990). When chain slots
+    1..q with mean delta join the bottom block, the ranked tail is
+    water-filled into it: tail cell s is pooled while it is at or above the
+    pooled average with it, which is brk[s-1] - q * sorted_tail[s-1] <=
+    -q * delta, a monotone key, so the pooled count t is one bisection and
+    the block's value is max((x_top + q * delta + P_t) / (q + 1 + t), 0).
+    After the sweep, ``eta_tilde`` is the closed-form root of
+    T(eta) = delta + eta / q on piece t of T, and ``val[0]`` is T there.
     """
     chain = np.asarray(chain, dtype=float)
     k = chain.size
     add_reduce = np.add.reduce  # slice means as ndarray.mean computes them: sum / count
-    eta_tilde = 0.0
+    brk, srt, prefix = ev.breakpoints, ev.sorted_tail, ev.prefix_sums
     le = [0]
     ri = [0]
-    T0 = threshold_T(ev, 0.0)[0]  # every merge's root search starts from T(0)
-    val = [T0]
+    val = [threshold_T(ev, 0.0)[0]]
+    q = t = 0  # chain slots 1..q and the top t tail cells pool into the bottom block
     for ell in range(1, k):
         le.append(ell)
         ri.append(ell)
         val.append(float(chain[ell]))
         while len(val) >= 2 and val[-1] <= val[-2]:
-            q = ri[-1]
+            top = ri[-1]
             if len(val) == 2:
-                delta = float(add_reduce(chain[1 : q + 1])) / q  # slots 1..q join the bottom block
-                eta_tilde = solve_eta(ev, q + 1, delta, T0)
-                val[0] = threshold_T(ev, eta_tilde)[0]
+                q = top
+                total = float(add_reduce(chain[1 : q + 1]))
+                delta = total / q
+                t = int((brk - q * srt).searchsorted(-q * delta, side="right"))
+                if t == brk.size and not ev.complete:
+                    raise PrefixExhausted(f"pooled count reaches the {t}-cell prefix")
+                val[0] = max((ev.x_top + total + prefix[t]) / (q + 1 + t), 0.0)
                 ri[0] = q
             else:
-                val[-2] = float(add_reduce(chain[le[-2] : q + 1])) / (q + 1 - le[-2])
-                ri[-2] = q
+                val[-2] = float(add_reduce(chain[le[-2] : top + 1])) / (top + 1 - le[-2])
+                ri[-2] = top
             le.pop()
             ri.pop()
             val.pop()
+
+    eta_tilde = 0.0
+    if q:
+        if val[0] > 0.0:
+            # T = (c_t - eta) / (t + 1) on piece t meets the line delta + eta / q
+            c_t = ev.x_top + prefix[t]
+            root = q * (c_t - (t + 1) * delta) / (t + q + 1)
+            lo = max(brk[t - 1], 0.0) if t else 0.0
+            hi = brk[t] if t < brk.size else np.inf
+            eta_tilde = float(min(max(root, lo), hi)) + 0.0
+        else:  # T has reached 0, so the line meets it at eta = -q * delta
+            eta_tilde = max(-q * delta, 0.0) + 0.0
+        val[0] = threshold_T(ev, eta_tilde)[0]
     return BlockPartition(le=le, ri=ri, val=val, eta_tilde=eta_tilde)
 
 
@@ -232,10 +223,11 @@ class OrderConeProjector:
 
     Precomputes the constrained and the unconstrained flat indices, so each
     call is ``ThresholdEvaluator.from_values`` (a top-``top_k`` prefix of the
-    tail on large tails, else one tail sort) plus the linear chain sweep and
-    one clip of the whole matrix; the solver re-projects every round.
-    ``top_k`` starts at m + n and doubles, for the rest of this projector's
-    life, whenever the pooled count reaches the end of the prefix.
+    tail on large tails, else one tail sort), the linear chain sweep with one
+    bisection per merge into the bottom block, and one clip of the whole
+    matrix; the solver re-projects every round. ``top_k`` starts at m + n and
+    doubles, for the rest of this projector's life, whenever the pooled count
+    reaches the end of the prefix.
     """
 
     def __init__(self, oc: OrderedVariates, m: int, n: int):

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, Problem, validate_problem
 from ocot import projections
-from ocot.errors import EmptyConstraints, NoZero, ShapeMismatch, UnequalMass
+from ocot.errors import EmptyConstraints, ShapeMismatch, UnequalMass
 from ocot.oracle import c1_project_dense, kkt_verify, pgd_project
 from ocot.projections import (
     BlockPartition,
@@ -14,7 +14,7 @@ from ocot.projections import (
     epava_blocks,
     project_c1,
     project_c2_epava,
-    solve_eta,
+    project_marginals,
     threshold_T,
 )
 
@@ -36,22 +36,31 @@ def brute_threshold(x_top, tail, eta):
     return max(tau(t), 0.0), t
 
 
-def bisection_root(ev, q, delta):
-    """Root of T(eta) = delta + eta / (q - 1) by plain bisection on eta >= 0."""
+def brute_merge(x_top, merged, tail):
+    """Bottom-block value and pooled-count range of a merge, by scanning averages.
 
-    def resid(e):
-        return threshold_T(ev, e)[0] - delta - e / (q - 1)
+    The bottom slot ``x_top``, the ``merged`` chain values and the top s tail
+    cells pool while the s-th cell is at or above their average; a cell
+    within rounding of the average may go either way without moving the
+    value, so the count comes back as the range (lo, hi) of admissible s."""
+    tail = sorted(tail, reverse=True)
+    base = x_top + sum(merged)
+    c = 1 + len(merged)
 
-    lo, hi = 0.0, 1.0
-    while resid(hi) > 0:
-        hi *= 2
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if resid(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    def avg(s):
+        return (base + sum(tail[:s])) / (c + s)
+
+    scale = 1e-12 * (1.0 + abs(base) + sum(abs(v) for v in tail))
+    s = 0
+    while s < len(tail) and tail[s] >= avg(s + 1):
+        s += 1
+    lo = s
+    while lo > 0 and tail[lo - 1] - avg(lo) <= scale:
+        lo -= 1
+    hi = s
+    while hi < len(tail) and tail[hi] - avg(hi + 1) >= -scale:
+        hi += 1
+    return max(avg(s), 0.0), lo, hi
 
 
 def full_sort_order(tail):
@@ -122,6 +131,22 @@ class TestProjectC1:
             assert np.max(np.abs(Y.sum(axis=0) - b)) <= 1e-10
             assert np.max(np.abs(project_c1(p, Y) - Y)) <= 1e-10
             np.testing.assert_allclose(Y, c1_project_dense(X, a, b), atol=1e-8)
+
+    @pytest.mark.parametrize("m, n", [(64, 64), (100, 30)])
+    def test_marginals_at_size(self, m, n):
+        # inputs offset by +-1e3 carry a large total-mass defect, which the
+        # kernel takes from the row sums into the column correction
+        rng = np.random.default_rng(10)
+        for offset in (-1e3, 1e3):
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            W = rng.uniform(-1.0, 1.0, (m, n)) + offset
+            Y = project_marginals(W, a, b, np.empty((m, n)))
+            bound = 1e-14 * np.abs(W).max() * max(m, n)
+            assert np.max(np.abs(Y.sum(axis=1) - a)) <= bound
+            assert np.max(np.abs(Y.sum(axis=0) - b)) <= bound
+            np.testing.assert_allclose(Y, c1_project_dense(W, a, b), rtol=0.0, atol=1e-8)
+            # out may be W itself
+            assert np.array_equal(project_marginals(W.copy(), a, b, W), Y)
 
     def test_nearest_point(self, symmetric_2x2):
         rng = np.random.default_rng(9)
@@ -194,85 +219,103 @@ class TestThreshold:
             assert np.all(np.diff(diffs) >= -1e-12)
 
 
-class TestSolveEta:
+def decreasing_chain(rng, k, bottom):
+    """k chain values from ``bottom`` down, so every slot merges into the bottom block."""
+    return np.concatenate([[bottom], bottom - np.sort(rng.uniform(0.0, 1.0, k - 1))])
+
+
+class TestBottomMerge:
+    def check_merge(self, chain, tail):
+        ev = ThresholdEvaluator.from_values(chain[0], tail)
+        blocks = epava_blocks(chain, ev)
+        q = blocks.ri[0]
+        value, lo, hi = brute_merge(chain[0], chain[1 : q + 1], tail)
+        scale = 1.0 + abs(chain).max() + (np.abs(tail).max() if tail.size else 0.0)
+        assert blocks.val[0] == pytest.approx(value, abs=1e-12 * scale)
+        T_val, t = threshold_T(ev, blocks.eta_tilde)
+        assert T_val == blocks.val[0]
+        if value > 0.0:
+            assert lo <= t <= hi
+        return blocks, q
+
     def test_identically_zero(self):
-        ev = ThresholdEvaluator.from_values(-1.0, [])
-        assert solve_eta(ev, 2, 0.0) == 0.0
+        # no tail and a non-positive chain: T is 0 everywhere, and the line
+        # -2 + eta meets it at eta = 2
+        blocks = epava_blocks(np.array([-1.0, -2.0]), ThresholdEvaluator.from_values(-1.0, []))
+        assert blocks.B == 1
+        assert blocks.val[0] == 0.0
+        assert blocks.eta_tilde == 2.0
 
     def test_single_linear_piece(self):
-        # T(eta) = 1 - eta against eta: crossing at 0.5
-        ev = ThresholdEvaluator.from_values(1.0, [])
-        assert solve_eta(ev, 2, 0.0) == pytest.approx(0.5, abs=1e-12)
+        # no tail: slots 1.0 and 0.0 pool to 0.5, the line T = 1 - eta meets
+        # 0 + eta at eta = 0.5
+        blocks = epava_blocks(np.array([1.0, 0.0]), ThresholdEvaluator.from_values(1.0, []))
+        assert blocks.B == 1
+        assert blocks.val[0] == 0.5
+        assert blocks.eta_tilde == pytest.approx(0.5, abs=1e-15)
 
-    def check_root(self, ev, q, delta):
-        eta = solve_eta(ev, q, delta)
-        scale = max(1.0, abs(delta), abs(ev.x_top))
-        assert eta >= 0.0
-        assert eta == pytest.approx(bisection_root(ev, q, delta), abs=1e-10 * scale)
-        assert abs(threshold_T(ev, eta)[0] - delta - eta / (q - 1)) <= 1e-12 * scale
-        return eta
-
-    def test_matches_bisection_oracle(self):
+    def test_matches_brute_scan_randomized(self):
         rng = np.random.default_rng(21)
-        for _ in range(100):
-            tail = rng.uniform(-1.0, 1.0, size=4)
-            x_top = float(rng.uniform(-1.0, 1.0))
-            ev = ThresholdEvaluator.from_values(x_top, tail)
-            q = int(rng.integers(2, 6))
-            delta = float(rng.uniform(-1.0, threshold_T(ev, 0.0)[0]))
-            self.check_root(ev, q, delta)
+        for _ in range(200):
+            tail = rng.uniform(-1.0, 1.0, size=int(rng.integers(0, 9)))
+            chain = rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 6)))
+            self.check_merge(chain, tail)
 
     def test_long_tails(self):
-        # 100-300 cells, half of them with ties; delta spans the root on a
-        # linear piece, on the clamped piece (T = 0, delta < 0) and next to 0
+        # 100-300 cells, half of them with ties; the merged chain mean puts
+        # the value on a linear piece or clamps it at 0
         rng = np.random.default_rng(22)
+        clamped = 0
         for trial in range(120):
             tail = rng.uniform(-1.0, 1.0, size=int(rng.integers(100, 301)))
             if trial % 2:
                 tail = np.round(tail, 1)
-            x_top = float(rng.uniform(-1.0, 1.0))
-            ev = ThresholdEvaluator.from_values(x_top, tail)
-            q = int(rng.integers(2, 10))
-            T0 = threshold_T(ev, 0.0)[0]
-            kind = trial % 3
-            if kind == 0:
-                delta = float(rng.uniform(-1.0, T0))
-            elif kind == 1:
-                # below -(x_top + positive tail mass), where T has reached 0
-                reach = 1.0 + abs(x_top) + float(np.clip(tail, 0.0, None).sum())
-                delta = -float(rng.uniform(1.0, 2.0)) * reach
+            k = int(rng.integers(2, 10))
+            if trial % 3 == 1:
+                # slots below -(positive tail mass): the pooled value is 0
+                reach = 1.0 + float(np.clip(tail, 0.0, None).sum())
+                chain = decreasing_chain(rng, k, float(rng.uniform(-1.0, 1.0)))
+                chain[1:] -= float(rng.uniform(1.0, 2.0)) * reach
             else:
-                delta = T0 - float(rng.uniform(0.0, 1e-6))
-            eta = self.check_root(ev, q, delta)
-            if kind == 1:
-                assert threshold_T(ev, eta)[0] == 0.0
-                assert eta == pytest.approx(-delta * (q - 1), rel=1e-12)
-            if kind == 2:
-                assert eta <= 1e-5
+                chain = decreasing_chain(rng, k, float(rng.uniform(-1.0, 1.0)))
+            blocks, q = self.check_merge(chain, tail)
+            assert q == k - 1 and blocks.B == 1
+            if trial % 3 == 1:
+                clamped += 1
+                delta = float(np.add.reduce(chain[1:])) / q
+                assert blocks.val[0] == 0.0
+                assert blocks.eta_tilde == -q * delta
+        assert clamped == 40
 
-    def test_no_zero_guards(self):
-        ev = ThresholdEvaluator.from_values(0.5, [0.3, 0.1])
-        with pytest.raises(NoZero):
-            solve_eta(ev, 1, 0.0)
-        for scale in (1.0, 1e6):
-            ev = ThresholdEvaluator.from_values(0.5 * scale, [0.3 * scale, 0.1 * scale])
-            T0 = threshold_T(ev, 0.0)[0]
-            # T(0) below the line by rounding only: the root is eta = 0
-            assert solve_eta(ev, 3, T0 * (1.0 + 1e-12)) == 0.0
-            with pytest.raises(NoZero):
-                solve_eta(ev, 3, T0 * (1.0 + 1e-6))
-
-    def test_root_past_truncated_prefix(self):
-        # T(0) is answered inside the 11-cell prefix, but the line meets T only
-        # after the pooled count has passed it
+    def test_merge_past_truncated_prefix(self):
+        # T(0) is answered inside the 11-cell prefix, but a slot at -10000
+        # merged into the bottom block pools far more tail cells than that
         tail = np.arange(1000.0)
-        ev = ThresholdEvaluator.from_values(2000.0, tail, top_k=10)
+        chain = np.array([2000.0, -10000.0])
+        ev = ThresholdEvaluator.from_values(chain[0], tail, top_k=10)
         assert not ev.complete and ev.sorted_tail.size == 11
         assert threshold_T(ev, 0.0)[1] == 0
-        full = ThresholdEvaluator.from_values(2000.0, tail)
-        assert solve_eta(full, 2, -10000.0) > ev.breakpoints[-1]
+        _, lo, _ = brute_merge(chain[0], chain[1:], tail)
+        assert lo > 11
         with pytest.raises(PrefixExhausted):
-            solve_eta(ev, 2, -10000.0)
+            epava_blocks(chain, ev)
+        self.check_merge(chain, tail)
+
+    def test_projector_doubles_past_a_merge(self):
+        # the same merge inside a 40x40 projection: the first 80-cell prefix
+        # runs out during the merge and the projector's doubling recovers
+        rng = np.random.default_rng(24)
+        oc = random_variates(rng, 40, 40, 2)
+        X = rng.uniform(0.0, 1.0, (40, 40))
+        (i0, j0), (i1, j1) = oc.pairs
+        X[i0, j0], X[i1, j1] = 5.0, -200.0
+        proj = OrderConeProjector(oc, 40, 40)
+        assert proj.top_k == 80
+        Y = proj(X)
+        assert proj.top_k > 80
+        Y_ref, _, _ = full_sort_projection(X, oc)
+        assert np.array_equal(Y, Y_ref)
+        assert kkt_verify(X, Y, oc, tol=1e-8).ok
 
 
 def make_feasible_cone_point(rng, oc, m, n):
@@ -320,6 +363,28 @@ class TestProjectC2:
             X = rng.uniform(-1.0, 1.0, size=(4, 4))
             report = kkt_verify(X, project_c2_epava(X, oc), oc, tol=1e-8)
             assert report.ok
+
+    @pytest.mark.parametrize("m, n", [(64, 64), (30, 150)])
+    def test_kkt_system_at_size(self, m, n):
+        # chain values decreasing upward, so every slot merges into the
+        # bottom block, through the top-K prefix or, once the merges pool
+        # more cells than that, the whole sorted tail
+        rng = np.random.default_rng(17)
+        for trial in range(12):
+            k = int(rng.integers(2, 9))
+            oc = random_variates(rng, m, n, k)
+            X = rng.uniform(-1.0, 1.0, (m, n))
+            if trial % 2:
+                X = np.round(X, 2)
+            chain = decreasing_chain(rng, k, float(rng.uniform(-1.0, 1.0)))
+            for (i, j), v in zip(oc.pairs, chain):
+                X[i, j] = v
+            proj = OrderConeProjector(oc, m, n)
+            Y = proj(X)
+            x = X.ravel()
+            ev = ThresholdEvaluator.from_values(chain[0], x[proj.tail_flat], proj.top_k)
+            assert epava_blocks(chain, ev).B == 1
+            assert kkt_verify(X, Y, oc, tol=1e-8).ok
 
     def test_idempotent(self):
         rng = np.random.default_rng(15)
@@ -480,7 +545,7 @@ class TestComplexity:
     def test_tail_sort_is_one_time(self):
         # ranking happens once, at construction: the evaluator exposes prefix
         # sums sized with the ranked cells (the whole tail here; only the top
-        # top_k + 1 and their ties on a long tail, see TestPrefixPath), so
+        # top_k + 1 on a long tail, see TestPrefixPath), so
         # threshold lookups after construction are bisections
         ev = ThresholdEvaluator.from_values(0.0, np.arange(100.0))
         assert ev.prefix_sums.size == 101
