@@ -4,7 +4,9 @@ The bound pins every constrained cell at a common level x, decouples the
 marginal constraints row-by-row (and column-by-column), and solves each row
 as a continuous packing problem in closed form. Both decoupled branches are
 convex piecewise-linear in x, so each is minimized exactly by evaluating at
-its breakpoints; the final bound is the larger branch minimum.
+its breakpoints; the final bound is the larger branch minimum. One array
+kernel evaluates the closed form for every row at every breakpoint, with
++inf where a row cannot hold its budget at that x.
 """
 
 from __future__ import annotations
@@ -20,38 +22,49 @@ from .errors import Infeasible, RepeatedIndices
 _FEAS_SLACK = 1e-12
 
 
-def _packing_sorted(
-    sorted_costs: np.ndarray, prefix: np.ndarray, u: float, alpha: float
-) -> float:
-    """Greedy closed form on pre-sorted costs: cheapest items fill to u first."""
-    n = sorted_costs.size
-    if alpha < 0.0:
-        if alpha < -_FEAS_SLACK:
-            raise Infeasible(f"negative budget {alpha!r}")
-        alpha = 0.0
-    if alpha == 0.0:
-        return 0.0
-    if n == 0:
-        raise Infeasible("positive budget with no items")
-    if u < 0.0:
-        raise Infeasible(f"negative capacity {u!r}")
+def _pack(srt: np.ndarray, prefix: np.ndarray, u: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Greedy closed form over arrays: the cheapest items fill to u first.
+
+    ``srt`` holds rows of sorted costs and ``prefix`` their running sums
+    (leading 0); ``u`` is the grid of per-item caps and ``alpha`` the budgets,
+    one row per cost row, broadcasting against ``u``. Returns a (rows, grid)
+    array, +inf where a budget is negative or exceeds the capacity u*n.
+    """
+    n = srt.shape[1]
+    a = np.maximum(alpha, 0.0)  # budgets within the slack below 0 count as 0
     cap = u * n
-    if alpha > cap:
-        if alpha - cap > _FEAS_SLACK * max(1.0, alpha):
-            raise Infeasible(f"budget {alpha!r} exceeds total capacity {cap!r}")
-        alpha = cap
-    if u == 0.0:
-        return 0.0  # alpha was clipped to 0 above
-    ell = int(alpha // u)
-    if ell >= n:
-        return float(u * prefix[n])
-    return float(u * prefix[ell] + (alpha - ell * u) * sorted_costs[ell])
+    over = (n == 0) | (u < 0.0) | (a - cap > _FEAS_SLACK * np.maximum(1.0, a))
+    infeasible = (alpha < -_FEAS_SLACK) | ((a > 0.0) & over)
+    zero = (a == 0.0) | (u == 0.0)
+    out = np.zeros(infeasible.shape)
+    if n:
+        a = np.minimum(a, cap)
+        ell = np.clip(a // np.where(u > 0.0, u, 1.0), 0, n)
+        idx = ell.astype(np.intp)
+        row = np.arange(srt.shape[0])[:, None]
+        full = u * prefix[row, idx]
+        part = full + (a - ell * u) * srt[row, np.minimum(idx, n - 1)]
+        out = np.where(ell < n, part, full)
+    out[zero] = 0.0
+    out[infeasible] = np.inf
+    return out
+
+
+def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row sorted, and its running sums with a leading 0."""
+    srt = np.sort(rows, axis=1, kind="stable")
+    prefix = np.zeros((srt.shape[0], srt.shape[1] + 1))
+    np.cumsum(srt, axis=1, out=prefix[:, 1:])
+    return srt, prefix
 
 
 def packing(costs, u: float, alpha: float) -> float:
     """Optimal value of the continuous packing problem (Infeasible if u*n < alpha)."""
-    srt = np.sort(np.asarray(costs, dtype=float).ravel(), kind="stable")
-    return _packing_sorted(srt, np.concatenate([[0.0], np.cumsum(srt)]), float(u), float(alpha))
+    srt, prefix = _sorted_rows(np.asarray(costs, dtype=float).reshape(1, -1))
+    value = float(_pack(srt, prefix, np.array(float(u)), np.array([[float(alpha)]]))[0, 0])
+    if value == np.inf:
+        raise Infeasible(f"budget {alpha!r} infeasible under cap {u!r} on {srt.shape[1]} items")
+    return value
 
 
 @dataclass(frozen=True)
@@ -82,106 +95,62 @@ class BoundReport:
     col_branch: PiecewiseBound | None
 
 
-def _upper_cell_row(
-    srt: np.ndarray,
-    prefix: np.ndarray,
-    budget: float,
-    cell_cost: float,
-    cap: float,
-    x: float,
-) -> float:
-    """Exact row value for a chain cell above the bottom of the chain.
+def _branch_values(
+    D: np.ndarray, marg: np.ndarray, chain: np.ndarray, caps: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """Sum of one branch's row values at each x in ``xs`` (+inf where infeasible).
 
-    The cell holds some y in [max(x, budget - (n-1)x), cap] and the remaining
-    budget packs into the other cells under per-cell cap x; the cheapest split
-    assigns the tail every unit whose packing cost is below the cell's own.
-    Convex in y, so the interior optimum clamps to the interval.
+    ``chain`` lists (row, excluded column) bottom-of-chain first, ``caps`` the
+    chain cells' own caps. A free row packs its budget under per-cell cap x.
+    A chain row holds y in its cell and packs the rest into the other cells:
+    the bottom cell is pinned at y = x (its tail budget is exact there); a
+    cell higher up takes y in [max(x, budget - (n-1)x), cap], and the
+    cheapest split leaves the other cells every unit costing less than its
+    own (convex in y, so the interior optimum clamps to the interval).
     """
-    n_other = srt.size
-    y_lo = max(x, budget - n_other * x)
-    y_hi = cap
-    if y_lo > y_hi + _FEAS_SLACK:
-        raise Infeasible(f"chain cell cannot hold its range at x = {x!r}")
-    y_lo = min(y_lo, y_hi)
-    cheap = int(np.searchsorted(srt, cell_cost, side="left"))
-    y_star = min(max(budget - x * cheap, y_lo), y_hi)
-    return cell_cost * y_star + _packing_sorted(srt, prefix, x, budget - y_star)
+    rows, cols = chain.T
+    n = D.shape[1]
+    free = np.ones(marg.size, dtype=bool)
+    free[rows] = False
+    free_values = _pack(*_sorted_rows(D[free]), xs, marg[free, None])
+
+    others = np.ones((rows.size, n), dtype=bool)
+    others[np.arange(rows.size), cols] = False
+    srt, prefix = _sorted_rows(D[rows][others].reshape(rows.size, n - 1))
+    cost = D[rows, cols][:, None]
+    budget = marg[rows, None]
+    y_lo = np.maximum(xs, budget[1:] - (n - 1) * xs)
+    y_hi = caps[1:, None]
+    cheap = (srt[1:] < cost[1:]).sum(axis=1)[:, None]
+    y_upper = np.minimum(np.maximum(budget[1:] - xs * cheap, np.minimum(y_lo, y_hi)), y_hi)
+    y = np.concatenate([xs[None, :], y_upper])
+    chain_values = cost * y + _pack(srt, prefix, xs, budget - y)
+    chain_values[1:][y_lo > y_hi + _FEAS_SLACK] = np.inf
+    # cumsum adds the rows one at a time in this order (sum may pair them up)
+    rows_values = np.concatenate([np.zeros((1, xs.size)), free_values, chain_values])
+    return np.cumsum(rows_values, axis=0)[-1]
 
 
 def _branch(
-    D: np.ndarray,
-    marg: np.ndarray,
-    other_size: int,
-    chain: list[tuple[int, int, float]],
-    other_marg: np.ndarray,
+    D: np.ndarray, marg: np.ndarray, other_marg: np.ndarray, chain: np.ndarray
 ) -> PiecewiseBound | None:
     """Build and tabulate one decoupled branch (rows; transpose for columns).
 
-    ``chain`` lists (row, excluded column, cell cost) bottom-of-chain first.
-    The bottom cell is pinned at x (its tail budget is exact there); cells
-    higher up are minimized over their own value. Returns None when the
-    feasible x-range is empty.
+    The grid holds the range endpoints and every inflection of a row value
+    in between: budget / i for all rows, and (budget - cap) / i for chain
+    cells above the bottom. Returns None when the feasible x-range is empty.
     """
-    m = marg.size
-    caps = {}
-    for row, col, _ in chain:
-        caps[row] = float(min(marg[row], other_marg[col]))
-    lo = float(marg.max()) / other_size
-    hi = float(marg.max())
-    if chain:
-        hi = min(hi, min(caps.values()))
+    rows, cols = chain.T
+    caps = np.minimum(marg[rows], other_marg[cols])
+    lo = float(marg.max()) / D.shape[1]
+    hi = float(caps.min(initial=marg.max()))
     if lo > hi + _FEAS_SLACK:
         return None
-
-    chain_rows = {row for row, _, _ in chain}
-    mu_terms = []  # (sorted costs, prefix, budget)
-    for p in range(m):
-        if p in chain_rows:
-            continue
-        srt = np.sort(D[p], kind="stable")
-        mu_terms.append((srt, np.concatenate([[0.0], np.cumsum(srt)]), float(marg[p])))
-    chain_terms = []  # (sorted costs, prefix, budget, cell cost, cap, is_bottom)
-    for ell, (row, col, cost) in enumerate(chain):
-        srt = np.sort(np.delete(D[row], col), kind="stable")
-        chain_terms.append(
-            (
-                srt,
-                np.concatenate([[0.0], np.cumsum(srt)]),
-                float(marg[row]),
-                cost,
-                caps[row],
-                ell == 0,
-            )
-        )
-
-    points = {lo, hi}
-
-    def add(x: float):
-        if lo < x < hi:
-            points.add(float(x))
-
-    for p in range(m):
-        for i in range(1, other_size + 1):
-            add(marg[p] / i)
-    for row, col, _ in chain[1:]:
-        for i in range(1, other_size + 1):
-            add((marg[row] - caps[row]) / i)
-    xs = np.array(sorted(points))
-
-    values = np.empty(xs.size)
-    for idx, x in enumerate(xs):
-        total = 0.0
-        try:
-            for srt, prefix, budget in mu_terms:
-                total += _packing_sorted(srt, prefix, x, budget)
-            for srt, prefix, budget, cost, cap, is_bottom in chain_terms:
-                if is_bottom:
-                    total += cost * x + _packing_sorted(srt, prefix, x, budget - x)
-                else:
-                    total += _upper_cell_row(srt, prefix, budget, cost, cap, x)
-        except Infeasible:
-            total = np.inf
-        values[idx] = total
+    budgets = np.concatenate([marg, marg[rows[1:]] - caps[1:]])
+    kinks = budgets[:, None] / np.arange(1, D.shape[1] + 1)
+    xs = np.sort(np.concatenate([[lo, hi], kinks[(kinks > lo) & (kinks < hi)]]))
+    xs = xs[np.concatenate([[True], xs[1:] > xs[:-1]])]  # np.unique would import numpy.ma
+    values = _branch_values(D, marg, chain, caps, xs)
     keep = np.isfinite(values)
     if not np.any(keep):
         return None
@@ -193,22 +162,9 @@ def lower_bound_detail(problem: Problem, oc: OrderedVariates) -> BoundReport:
     if not oc.rows_cols_distinct:
         raise RepeatedIndices("the bound requires distinct constrained rows and columns")
     oc.check_bounds(*problem.shape)
-    D = problem.D
-
-    row_branch = _branch(
-        D,
-        problem.a,
-        problem.n,
-        [(i, j, float(D[i, j])) for i, j in oc.pairs],
-        problem.b,
-    )
-    col_branch = _branch(
-        D.T,
-        problem.b,
-        problem.m,
-        [(j, i, float(D[i, j])) for i, j in oc.pairs],
-        problem.a,
-    )
+    chain = np.array(oc.pairs, dtype=np.intp).reshape(-1, 2)
+    row_branch = _branch(problem.D, problem.a, problem.b, chain)
+    col_branch = _branch(problem.D.T, problem.b, problem.a, chain[:, ::-1])
     candidates = [br.min_value for br in (row_branch, col_branch) if br is not None]
     if not candidates:
         warnings.warn(

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     WeightSumZero,
 )
-from .search import COLOR_TAUS, SearchConfig, SearchResult, branch_and_bound
+from .search import COLOR_TAUS, DEFAULT_TAUS, SearchConfig, SearchResult, branch_and_bound
 
 RGB_SCALE = 195075.0  # 3 * 255^2, the largest squared RGB distance
 
@@ -180,12 +180,10 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _search_config(args, taus=None) -> SearchConfig:
-    tau1 = args.tau1 if args.tau1 is not None else (taus or (0.5, 0.5))[0]
-    tau2 = args.tau2 if args.tau2 is not None else (taus or (0.5, 0.5))[1]
+def _search_config(args) -> SearchConfig:
     return SearchConfig(
-        tau1=tau1,
-        tau2=tau2,
+        tau1=args.tau1,
+        tau2=args.tau2,
         k1=args.k1,
         k2=args.k2,
         k3=args.k3,
@@ -318,7 +316,7 @@ def cmd_color_transfer(args) -> int:
             }
         )
     else:
-        result = branch_and_bound(problem, _search_config(args, taus=COLOR_TAUS), _solver_cfg(args))
+        result = branch_and_bound(problem, _search_config(args), _solver_cfg(args))
         for rank, (obj, ranked_pairs, nid, plan) in enumerate(result.candidates.entries, 1):
             candidates.append(
                 {
@@ -397,14 +395,18 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help=f"residual threshold (default {DEFAULT_TOL:g})")
 
 
-def _add_search_flags(p: argparse.ArgumentParser, default_taus=None) -> None:
-    p.add_argument("--tau1", type=float, default=default_taus and default_taus[0],
-                   help="self-saturation threshold")
-    p.add_argument("--tau2", type=float, default=default_taus and default_taus[1],
-                   help="neighbourhood-saturation threshold")
-    p.add_argument("--k1", type=int, default=20, help="solver-call budget (default 20)")
-    p.add_argument("--k2", type=int, default=5, help="retained top plans (default 5)")
-    p.add_argument("--k3", type=int, default=1, help="maximum constraint depth (default 1)")
+def _add_search_flags(p: argparse.ArgumentParser, taus: tuple[float, float]) -> None:
+    cfg = SearchConfig()
+    p.add_argument("--tau1", type=float, default=taus[0],
+                   help=f"self-saturation threshold (default {taus[0]:g})")
+    p.add_argument("--tau2", type=float, default=taus[1],
+                   help=f"neighbourhood-saturation threshold (default {taus[1]:g})")
+    p.add_argument("--k1", type=int, default=cfg.k1,
+                   help=f"solver-call budget (default {cfg.k1})")
+    p.add_argument("--k2", type=int, default=cfg.k2,
+                   help=f"retained top plans (default {cfg.k2})")
+    p.add_argument("--k3", type=int, default=cfg.k3,
+                   help=f"maximum constraint depth (default {cfg.k3})")
     p.add_argument("--greedy", action="store_true", help="single lowest-saturation path")
     p.add_argument("--no-prune", action="store_true", help="disable bound/parent-cost pruning")
 
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="branch-and-bound search for top-k2 plans")
     p.add_argument("input", help="problem document (JSON); constraints are ignored")
-    _add_search_flags(p)
+    _add_search_flags(p, DEFAULT_TAUS)
     _add_solver_flags(p)
     p.add_argument("--output", help="write the result document here instead of stdout")
     p.add_argument("--dot", help="also write the DOT tree to this path")
@@ -437,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="source segment table (CSV)")
     p.add_argument("target", help="target segment table (CSV)")
     p.add_argument("--constraints", help="CSV of source_id,target_id pairs, most important first")
-    _add_search_flags(p, default_taus=COLOR_TAUS)
+    _add_search_flags(p, COLOR_TAUS)
     _add_solver_flags(p)
     p.add_argument("--output", help="write the result document here instead of stdout")
     p.set_defaults(func=cmd_color_transfer)

@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, lower_bound, lower_bound_detail, packing, validate_problem
+from ocot.bounds import _branch_values
 from ocot.errors import Infeasible, RepeatedIndices
 from ocot.oracle import lp_solve_oc
 
@@ -16,6 +17,13 @@ def packing_lp(costs, u, alpha):
     res = linprog(costs, A_eq=np.ones((1, n)), b_eq=[alpha], bounds=(0.0, u), method="highs")
     assert res.status == 0, res.message
     return res.fun
+
+
+def scan_min(branch, D, marg, chain, other_marg, points):
+    """Least branch value on a dense scan of the branch's x-range."""
+    caps = np.minimum(marg[chain[:, 0]], other_marg[chain[:, 1]])
+    scan = np.linspace(branch.xs[0], branch.xs[-1], points)
+    return _branch_values(D, marg, chain, caps, scan).min()
 
 
 class TestPacking:
@@ -137,8 +145,6 @@ class TestLowerBound:
     def test_breakpoint_minimum_is_exact(self):
         # a dense scan between breakpoints never undercuts the tabulated min
         rng = np.random.default_rng(55)
-        from ocot.bounds import _packing_sorted, _upper_cell_row
-
         for _ in range(10):
             m = int(rng.integers(3, 6))
             n = int(rng.integers(3, 6))
@@ -152,29 +158,56 @@ class TestLowerBound:
             branch = report.row_branch
             if branch is None:
                 continue
-            caps = {i: float(min(p.a[i], p.b[j])) for i, j in oc.pairs}
-            chain_rows = {i: (j, float(p.D[i, j])) for i, j in oc.pairs}
-            best = np.inf
-            for x in np.linspace(branch.xs[0], branch.xs[-1], 4000):
+            chain = np.array(oc.pairs)
+            assert branch.min_value <= scan_min(branch, p.D, p.a, chain, p.b, 4000) + 1e-9
+
+    def test_branch_values_match_row_lps(self):
+        # each row of a branch, solved as its own LP at a fixed x: free rows
+        # fill their budget under cap x; a chain row's own cell holds x (bottom)
+        # or any y in [x, cap] (higher up) and its other cells stay under x
+        rng = np.random.default_rng(56)
+        for _ in range(12):
+            m, n = int(rng.integers(3, 6)), int(rng.integers(3, 6))
+            p = validate_problem(rng.dirichlet(np.full(m, 5.0)), rng.dirichlet(np.full(n, 5.0)),
+                                 np.round(rng.random((m, n)), 1))
+            chain = np.array(random_variates(rng, m, n, int(rng.integers(1, 4))).pairs)
+            caps = np.minimum(p.a[chain[:, 0]], p.b[chain[:, 1]])
+            xs = np.sort(rng.uniform(p.a.max() / n, p.a.max(), 6))
+            for x, value in zip(xs, _branch_values(p.D, p.a, chain, caps, xs)):
                 total = 0.0
-                try:
-                    for row in range(m):
-                        if row in chain_rows:
-                            j, cost = chain_rows[row]
-                            srt = np.sort(np.delete(p.D[row], j), kind="stable")
-                            prefix = np.concatenate([[0.0], np.cumsum(srt)])
-                            if row == oc.pairs[0][0]:
-                                total += cost * x + _packing_sorted(srt, prefix, x, p.a[row] - x)
-                            else:
-                                total += _upper_cell_row(srt, prefix, float(p.a[row]), cost, caps[row], x)
-                        else:
-                            srt = np.sort(p.D[row], kind="stable")
-                            prefix = np.concatenate([[0.0], np.cumsum(srt)])
-                            total += _packing_sorted(srt, prefix, x, float(p.a[row]))
-                except Infeasible:
-                    continue
-                best = min(best, total)
-            assert branch.min_value <= best + 1e-9
+                for row in range(m):
+                    lower, upper = np.zeros(n), np.full(n, x)
+                    if row in chain[:, 0]:
+                        ell = int(np.flatnonzero(chain[:, 0] == row)[0])
+                        col = chain[ell, 1]
+                        lower[col], upper[col] = x, (x if ell == 0 else max(caps[ell], x))
+                        if ell and caps[ell] < x:
+                            total = np.inf
+                            break
+                    res = linprog(p.D[row], A_eq=np.ones((1, n)), b_eq=[p.a[row]],
+                                  bounds=list(zip(lower, upper)), method="highs")
+                    if res.status == 2:
+                        total = np.inf
+                        break
+                    total += res.fun
+                assert value == pytest.approx(total, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:both bound branches")
+    def test_chain_kinks_are_on_the_grid(self):
+        # with most rows in the chain, the minimum often sits where a cell
+        # above the bottom leaves its cap, at (budget - cap) / i
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            k = int(rng.integers(2, 4))
+            m, n = k + int(rng.integers(0, 2)), int(rng.integers(k, 6))
+            p = validate_problem(rng.dirichlet(np.full(m, 2.0)), rng.dirichlet(np.full(n, 2.0)),
+                                 rng.random((m, n)))
+            oc = random_variates(rng, m, n, k)
+            branch = lower_bound_detail(p, oc).row_branch
+            if branch is None:
+                continue
+            chain = np.array(oc.pairs)
+            assert branch.min_value <= scan_min(branch, p.D, p.a, chain, p.b, 4000) + 1e-9
 
     def test_empty_ranges_flagged(self):
         # constraining the lightest row and column empties both branch ranges
@@ -182,3 +215,66 @@ class TestLowerBound:
         with pytest.warns(RuntimeWarning):
             value = lower_bound(p, OrderedVariates(((1, 1),)))
         assert value == -np.inf
+
+
+def workload_instances(rng, m, n, k, dirichlet, count):
+    """Feasible instances at search-workload sizes with their HiGHS optima."""
+    found = 0
+    while found < count:
+        if dirichlet:
+            a, b = rng.dirichlet(np.full(m, 5.0)), rng.dirichlet(np.full(n, 5.0))
+        else:
+            a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        p = validate_problem(a, b, rng.random((m, n)), renormalize=True)
+        oc = random_variates(rng, m, n, k)
+        try:
+            opt, _ = lp_solve_oc(p, oc)
+        except Infeasible:
+            continue
+        found += 1
+        yield p, oc, opt
+
+
+@pytest.mark.filterwarnings("ignore:both bound branches")
+class TestWorkloadSizes:
+    """The grids the search workloads bound: 14x8 and 12x6, k up to 3."""
+
+    @pytest.mark.parametrize("dirichlet", [False, True], ids=["uniform", "dirichlet5"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(14, 8), (12, 6)], ids=["14x8", "12x6"])
+    def test_admissible_with_convex_branches(self, shape, k, dirichlet):
+        rng = np.random.default_rng([*shape, k, dirichlet])
+        for p, oc, opt in workload_instances(rng, *shape, k, dirichlet, 4):
+            report = lower_bound_detail(p, oc)
+            assert report.value <= opt + 1e-9 * max(1.0, abs(opt))
+            chain = np.array(oc.pairs)
+            tables = [
+                (report.row_branch, p.D, p.a, chain, p.b),
+                (report.col_branch, p.D.T, p.b, chain[:, ::-1], p.a),
+            ]
+            for branch, D, marg, pairs, other in tables:
+                if branch is None:
+                    continue
+                # no x between the breakpoints undercuts the tabulated minimum
+                assert branch.min_value <= scan_min(branch, D, marg, pairs, other, 2000) + 1e-12
+                # the grid can hold one kink twice, rounded 1e-18 apart
+                apart = np.concatenate([[True], np.diff(branch.xs) > 1e-12])
+                xs, values = branch.xs[apart], branch.values[apart]
+                if xs.size < 3:
+                    continue
+                slopes = np.diff(values) / np.diff(xs)
+                assert np.all(np.diff(slopes) >= -1e-7 * max(1.0, np.abs(slopes).max()))
+
+    def test_empty_chain_row(self):
+        # on a 1xn or mx1 grid one branch's chain row has no other cells
+        assert packing([], 0.3, 0.0) == 0.0
+        with pytest.raises(Infeasible):
+            packing([], 0.3, 1e-3)
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1)], ids=["1x6", "6x1"])
+    def test_degenerate_shapes_admissible(self, shape):
+        rng = np.random.default_rng(list(shape))
+        m, n = shape
+        for dirichlet in (False, True):
+            for p, oc, opt in workload_instances(rng, m, n, 1, dirichlet, 5):
+                assert lower_bound(p, oc) <= opt + 1e-9 * max(1.0, abs(opt))

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocot import SolverConfig
-from ocot.cli import build_parser, main
+from ocot import SearchConfig, SolverConfig
+from ocot.cli import _search_config, build_parser, main
+from ocot.search import COLOR_TAUS
 
 DATA = Path(__file__).parent / "data"
 
@@ -410,6 +411,24 @@ def test_solver_flag_defaults_are_the_library_defaults(argv):
     args = build_parser().parse_args(argv)
     cfg = SolverConfig()
     assert (args.rho, args.max_iters, args.tol) == (cfg.rho, cfg.max_iters, cfg.tol)
+
+
+def test_search_flag_defaults_are_the_library_defaults():
+    # with no flags, search runs SearchConfig() and color-transfer the same
+    # budgets with the colour thresholds
+    args = build_parser().parse_args(["search", "p.json"])
+    assert _search_config(args) == SearchConfig()
+    args = build_parser().parse_args(["color-transfer", "s.csv", "t.csv"])
+    tau1, tau2 = COLOR_TAUS
+    assert _search_config(args) == SearchConfig(tau1=tau1, tau2=tau2)
+
+
+def test_search_help_shows_tau_defaults(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["search", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "self-saturation threshold (default 0.5)" in out
+    assert "neighbourhood-saturation threshold (default 0.5)" in out
 
 
 def test_cli_import_leaves_scipy_unloaded():
