@@ -60,36 +60,34 @@ class SolverTrace:
 
 
 def certified_lower_bound(
-    problem: Problem, M: np.ndarray, rho: float, cone: OrderConeProjector | None
+    problem: Problem, M: np.ndarray, rho: float, cone: OrderConeProjector
 ) -> float:
     """Weak-duality lower bound on the order-constrained LP optimum.
 
     For any potentials u, v the optimum is at least a.u + b.v + mass * m(C),
     with C = D - u(+)v and m(C) the least mean of C over the generators of
-    the order cone: the up-sets of the chain. With k >= 1 those are the top
-    j chain cells (j = 1..k) and the whole chain plus the j cheapest tail
-    cells; with k = 0 (``cone`` None) they are the single cells. u and v are
-    the least-squares fit of u(+)v to D + rho * M, where M is the solver's
-    scaled dual, so the bound closes on the optimum as the solve converges
-    (Boyd et al. 2011, section 3.3). An LP-infeasible chain has optimum
-    +inf, so any value bounds it.
+    the order cone: the up-sets of the chain. Those are the top j chain
+    cells (j = 1..k) and the whole chain plus the j cheapest tail cells, so
+    m(C) is the least prefix mean of one ranked vector, the chain top first
+    and then the sorted tail; with k = 0 that is the least single cell. u and
+    v are the least-squares fit of u(+)v to D + rho * M, where M is the
+    solver's scaled dual, so the bound closes on the optimum as the solve
+    converges (Boyd et al. 2011, section 3.3). An LP-infeasible chain has
+    optimum +inf, so any value bounds it.
     """
     D = problem.D
     G = D + rho * M
     u = G.mean(axis=1)
     v = (G - u[:, None]).mean(axis=0)
     c = (D - u[:, None] - v).reshape(-1)
-    if cone is None:
-        least = c.min()
-    else:
-        chain = c[cone.chain_flat[::-1]].cumsum()  # top cell first
-        tail = np.sort(c[cone.tail_flat]).cumsum() + chain[-1]
-        k = chain.size
-        least = min(
-            (chain / np.arange(1.0, k + 1.0)).min(),
-            (tail / np.arange(k + 1.0, k + tail.size + 1.0)).min(initial=math.inf),
-        )
+    ranked = np.concatenate([c[cone.chain_flat[::-1]], np.sort(c[cone.tail_flat])])
+    least = (ranked.cumsum() / np.arange(1.0, ranked.size + 1.0)).min()
     return float(problem.a.dot(u) + problem.b.dot(v) + problem.a.sum() * least)
+
+
+def stop_above(cutoff: float) -> float:
+    """The value a lower bound must exceed to prove an optimum above ``cutoff``."""
+    return cutoff + CUTOFF_MARGIN * abs(cutoff)
 
 
 def solve(
@@ -113,7 +111,7 @@ def solve(
     documented diagnostic for (possibly) infeasible constraint sets. With a
     ``cutoff``, every ``CERT_PERIOD`` rounds the certified lower bound is
     evaluated, and the solve ends with ``termination == "dominated"`` once it
-    exceeds ``cutoff + CUTOFF_MARGIN * |cutoff|``: the optimum is then proven
+    exceeds ``stop_above(cutoff)``: the optimum is then proven
     above the cutoff. Without one, the rounds are exactly those of a plain
     solve. The returned plan is the last X with its order-feasible twin Z
     attached; the trace carries the bound and the scaled dual M at the last
@@ -121,15 +119,8 @@ def solve(
     """
     oc = oc if oc is not None else OrderedVariates()
     cfg = cfg if cfg is not None else SolverConfig()
-    oc.check_bounds(*problem.shape)
     m, n = problem.shape
-
-    if oc.k:
-        project_c2 = cone = OrderConeProjector(oc, m, n)
-    else:
-        cone = None
-        project_c2 = lambda W, out=None: np.maximum(W, 0.0, out=out)
-    stop_above = None if cutoff is None else cutoff + CUTOFF_MARGIN * abs(cutoff)
+    cone = OrderConeProjector(oc, m, n)  # checks that the chain fits the plan
 
     a, b, D = problem.a, problem.b, problem.D
     rho, tol = cfg.rho, cfg.tol
@@ -161,7 +152,7 @@ def solve(
         project_marginals(W, a, b, out=X)
 
         np.add(X, M, out=W)
-        project_c2(W, out=Z_new)
+        cone(W, out=Z_new)
         np.subtract(W, Z_new, out=M)  # M + X - Z_new, as W still holds X + M
         np.subtract(X, Z_new, out=W)
         primal = math.sqrt(w.dot(w))
@@ -175,9 +166,9 @@ def solve(
             termination = "tol"
             break
         if (
-            stop_above is not None
+            cutoff is not None
             and len(objs) % CERT_PERIOD == 0
-            and certified_lower_bound(problem, M, rho, cone) > stop_above
+            and certified_lower_bound(problem, M, rho, cone) > stop_above(cutoff)
         ):
             termination = "dominated"
             break

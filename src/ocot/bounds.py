@@ -32,8 +32,8 @@ def _pack(srt: np.ndarray, prefix: np.ndarray, u: np.ndarray, alpha: np.ndarray)
     """
     n = srt.shape[1]
     a = np.maximum(alpha, 0.0)  # budgets within the slack below 0 count as 0
-    cap = u * n
-    over = (n == 0) | (u < 0.0) | (a - cap > _FEAS_SLACK * np.maximum(1.0, a))
+    cap = u * n  # 0 with no items, so an empty row holds only budgets within the slack
+    over = (u < 0.0) | (a - cap > _FEAS_SLACK * np.maximum(1.0, a))
     infeasible = (alpha < -_FEAS_SLACK) | ((a > 0.0) & over)
     zero = (a == 0.0) | (u == 0.0)
     out = np.zeros(infeasible.shape)
@@ -138,7 +138,8 @@ def _branch(
 
     The grid holds the range endpoints and every inflection of a row value
     in between: budget / i for all rows, and (budget - cap) / i for chain
-    cells above the bottom. Returns None when the feasible x-range is empty.
+    cells above the bottom, each point more than a relative ``_FEAS_SLACK``
+    above the last. Returns None when the feasible x-range is empty.
     """
     rows, cols = chain.T
     caps = np.minimum(marg[rows], other_marg[cols])
@@ -149,7 +150,9 @@ def _branch(
     budgets = np.concatenate([marg, marg[rows[1:]] - caps[1:]])
     kinks = budgets[:, None] / np.arange(1, D.shape[1] + 1)
     xs = np.sort(np.concatenate([[lo, hi], kinks[(kinks > lo) & (kinks < hi)]]))
-    xs = xs[np.concatenate([[True], xs[1:] > xs[:-1]])]  # np.unique would import numpy.ma
+    # one kink computed two ways can land a few ulps apart: keep the first of
+    # any points within a relative _FEAS_SLACK (np.unique would import numpy.ma)
+    xs = xs[np.concatenate([[True], xs[1:] - xs[:-1] > _FEAS_SLACK * xs[1:]])]
     values = _branch_values(D, marg, chain, caps, xs)
     keep = np.isfinite(values)
     if not np.any(keep):

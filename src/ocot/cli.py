@@ -25,7 +25,6 @@ from .errors import (
     InvalidConfig,
     OcotError,
     ParseError,
-    ValidationError,
     WeightSumZero,
 )
 from .search import COLOR_TAUS, DEFAULT_TAUS, SearchConfig, SearchResult, branch_and_bound
@@ -229,18 +228,17 @@ def search_dot(result: SearchResult) -> str:
     return "\n".join(out) + "\n"
 
 
-def _search_doc(result: SearchResult, include_plans: bool = True) -> dict:
-    candidates = []
-    for rank, (obj, ranked_pairs, nid, plan) in enumerate(result.candidates.entries, 1):
-        entry = {
+def _search_doc(result: SearchResult) -> dict:
+    candidates = [
+        {
             "rank": rank,
             "objective": obj,
             "constraints": [list(p) for p in ranked_pairs],
             "node_id": nid,
+            "plan": _matrix(plan.X),
         }
-        if include_plans:
-            entry["plan"] = _matrix(plan.X)
-        candidates.append(entry)
+        for rank, (obj, ranked_pairs, nid, plan) in enumerate(result.candidates.entries, 1)
+    ]
     tree = [
         {
             "id": node.node_id,
@@ -469,9 +467,6 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except ValidationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except OcotError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

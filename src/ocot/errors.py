@@ -65,10 +65,6 @@ class UnequalMass(ValidationError):
     pass
 
 
-class EmptyConstraints(OcotError):
-    """The order-cone projection was called with no constrained variates."""
-
-
 class NumericalUnderflow(OcotError):
     """Entropic kernel entries fell below the representable range."""
 

@@ -3,9 +3,9 @@
 C1 is the affine set of matrices with prescribed row/column sums (no sign
 constraint); its projector is a closed form costing one pass of matrix-vector
 work. C2 is the order cone: non-negative matrices whose constrained cells sit
-at fixed descending-rank positions above everything else; its projector is an
-extended pool-adjacent-violators sweep over the constrained chain with a
-threshold function that pools the top tail cells into the bottom of the chain.
+at fixed descending-rank positions above everything else (the orthant when
+there are none); its projector is an extended pool-adjacent-violators sweep
+over the chain with a threshold that pools top tail cells into its bottom.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrderedVariates, Problem
-from .errors import EmptyConstraints, ShapeMismatch, UnequalMass
+from .errors import ShapeMismatch, UnequalMass
 
 
 def project_c1(problem: Problem, X: np.ndarray) -> np.ndarray:
@@ -225,18 +225,16 @@ class OrderConeProjector:
     call is ``ThresholdEvaluator.from_values`` (a top-``top_k`` prefix of the
     tail on large tails, else one tail sort), the linear chain sweep with one
     bisection per merge into the bottom block, and one clip of the whole
-    matrix; the solver re-projects every round. ``top_k`` starts at m + n and
-    doubles, for the rest of this projector's life, whenever the pooled count
-    reaches the end of the prefix.
+    matrix; with k = 0 a call is the clip alone. The solver re-projects every
+    round. ``top_k`` starts at m + n and doubles, for the rest of this
+    projector's life, whenever the pooled count reaches the end of the prefix.
     """
 
     def __init__(self, oc: OrderedVariates, m: int, n: int):
-        if oc.k == 0:
-            raise EmptyConstraints("order cone with k = 0 is the orthant; clamp instead")
         oc.check_bounds(m, n)
         self.oc = oc
         self.shape = (m, n)
-        self.chain_flat = np.array([i * n + j for i, j in oc.pairs])
+        self.chain_flat = np.array([i * n + j for i, j in oc.pairs], dtype=np.intp)
         self.tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
         self.top_k = m + n
 
@@ -250,6 +248,8 @@ class OrderConeProjector:
             raise ShapeMismatch(f"out buffer has shape {out.shape}, expected {self.shape}")
         elif not out.flags["C_CONTIGUOUS"]:
             raise ValueError("out buffer must be C-contiguous")
+        if not self.chain_flat.size:
+            return np.maximum(X, 0.0, out=out)
         x = X.ravel()
         chain = x[self.chain_flat]
         tail = x[self.tail_flat]
@@ -274,7 +274,7 @@ class OrderConeProjector:
 
 
 def project_c2_epava(X: np.ndarray, oc: OrderedVariates) -> np.ndarray:
-    """Euclidean projection onto the order cone (k >= 1).
+    """Euclidean projection onto the order cone of any chain, k = 0 included.
 
     Tail cells pooled into the bottom of the chain take the threshold value,
     the remaining tail cells are clamped at zero, and the chain takes its

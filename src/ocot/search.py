@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baseline
-from .admm import SolverConfig, solve
+from .admm import SolverConfig, solve, stop_above
 from .bounds import lower_bound
 from .core import OrderedVariates, Problem, TransportPlan
 from .errors import InvalidConfig
@@ -173,9 +173,11 @@ def branch_and_bound(
     the frontier. Each loop solve starts from its parent's final (Z, M): a
     child's chain is its parent's plus one cell, so the parent's iterate is
     close. A popped node is solved only while fewer than k2 candidates exist
-    or its bound (and its parent's objective, both admissible) beats the
-    current k2-th best; solved nodes expand unless they sit at the depth cap
-    or failed to improve. Only solves that end on ``tol`` carry an objective
+    or neither its bound nor its parent's objective (both admissible) rules
+    it out against the current k2-th best, the bound only past ``stop_above``'s
+    margin, since tol-level noise can leave an objective below an exact bound;
+    solved nodes expand unless they sit at the depth cap or failed to improve.
+    Only solves that end on ``tol`` carry an objective
     and are ranked, the root's included; a loop solve that stops short is not
     expanded either. A node's objective is the larger of its own and its
     parent's, since an LP optimum never falls along a path; ranking sorts on
@@ -254,7 +256,7 @@ def branch_and_bound(
                 node.expand_skip_reason = "not-solved"
                 continue
             node.bound = lower_bound(problem, node.variates)
-            if node.bound >= cutoff:
+            if node.bound > stop_above(cutoff):
                 node.status = "pruned"
                 node.prune_reason = "bound"
                 node.expand_skip_reason = "not-solved"

@@ -49,7 +49,7 @@ def assert_rounds_match_kernels(p, oc, cfg):
     objs, primals, duals = [], [], []
     for _ in range(cfg.max_iters):
         X = project_c1(p, Z - M - p.D / cfg.rho)
-        Z_new = project_c2_epava(X + M, oc) if oc.k else np.maximum(X + M, 0.0)
+        Z_new = project_c2_epava(X + M, oc)
         M = M + X - Z_new
         primals.append(float(np.linalg.norm(X - Z_new)))
         duals.append(cfg.rho * float(np.linalg.norm(Z_new - Z)))
@@ -362,6 +362,6 @@ class TestCertifiedLowerBound:
                 if any(c not in chain for c in cells) and not all(held):
                     continue  # a tail cell without the whole chain
                 least = min(least, C[cells].mean())
-            cone = OrderConeProjector(oc, m, n) if k else None
+            cone = OrderConeProjector(oc, m, n)
             want = p.a @ u + p.b @ v + p.a.sum() * least
             assert certified_lower_bound(p, M, rho, cone) == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -257,9 +257,9 @@ class TestWorkloadSizes:
                     continue
                 # no x between the breakpoints undercuts the tabulated minimum
                 assert branch.min_value <= scan_min(branch, D, marg, pairs, other, 2000) + 1e-12
-                # the grid can hold one kink twice, rounded 1e-18 apart
-                apart = np.concatenate([[True], np.diff(branch.xs) > 1e-12])
-                xs, values = branch.xs[apart], branch.values[apart]
+                # one kink computed two ways is one grid point, not two 1e-18 apart
+                xs, values = branch.xs, branch.values
+                assert np.all(np.diff(xs) > 1e-12 * xs[1:])
                 if xs.size < 3:
                     continue
                 slopes = np.diff(values) / np.diff(xs)
@@ -270,6 +270,9 @@ class TestWorkloadSizes:
         assert packing([], 0.3, 0.0) == 0.0
         with pytest.raises(Infeasible):
             packing([], 0.3, 1e-3)
+        # an empty row holds a budget within the slack, as a full row does
+        assert packing([], 0.3, 1e-13) == 0.0
+        assert packing([0.5], 0.3, 0.3 + 1e-13) == pytest.approx(0.15)
 
     @pytest.mark.parametrize("shape", [(1, 6), (6, 1)], ids=["1x6", "6x1"])
     def test_degenerate_shapes_admissible(self, shape):

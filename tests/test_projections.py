@@ -4,7 +4,7 @@ import pytest
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, Problem, validate_problem
 from ocot import projections
-from ocot.errors import EmptyConstraints, ShapeMismatch, UnequalMass
+from ocot.errors import ShapeMismatch, UnequalMass
 from ocot.oracle import c1_project_dense, kkt_verify, pgd_project
 from ocot.projections import (
     BlockPartition,
@@ -418,9 +418,23 @@ class TestProjectC2:
             if tail.size:
                 assert tail.max() <= chain[0] + 1e-15
 
-    def test_empty_constraints_rejected(self):
-        with pytest.raises(EmptyConstraints):
-            project_c2_epava(np.zeros((2, 2)), OrderedVariates())
+    def test_empty_chain_is_the_orthant(self):
+        # with k = 0 the order cone is the non-negative orthant
+        rng = np.random.default_rng(20)
+        oc = OrderedVariates()
+        for m, n in [(1, 1), (2, 3), (5, 4), (64, 64)]:
+            X = rng.uniform(-1, 1, (m, n))
+            Y = project_c2_epava(X, oc)
+            assert np.array_equal(Y, np.maximum(X, 0.0))
+            assert np.allclose(Y, pgd_project(X, oc), atol=1e-12)
+            assert kkt_verify(X, Y, oc, tol=1e-12).ok
+        # the projector checks its out buffer before the clip, as with a chain
+        cone = OrderConeProjector(oc, 2, 3)
+        out = np.empty((2, 3))
+        assert cone(X[:2, :3], out=out) is out
+        assert np.array_equal(out, np.maximum(X[:2, :3], 0.0))
+        with pytest.raises(ShapeMismatch):
+            cone(X[:2, :3], out=np.empty((3, 2)))
 
     def test_scale_invariance(self):
         # projection commutes with positive scaling; extreme magnitudes must

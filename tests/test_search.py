@@ -107,16 +107,12 @@ class TestBranchAndBound:
                 assert var_a == var_b
                 assert obj_a == pytest.approx(obj_b, abs=1e-6)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="bound pruning at an LP tie: the child's packing bound equals its "
-        "HiGHS optimum, and the unpruned search ranks it on an ADMM objective "
-        "about 1e-6 below that bound",
-    )
     @pytest.mark.parametrize("seed, index", [(12345, 136), (4242, 197)])
     def test_pruning_equivalence_at_bound_ties(self, seed, index):
-        # the instance is drawn as test_pruning_equivalence_exhaustive draws its own
+        # the child's packing bound equals its HiGHS optimum, and the unpruned
+        # search ranks it on an ADMM objective about 1e-6 below that bound;
+        # the pruning margin keeps it. The instance is drawn as
+        # test_pruning_equivalence_exhaustive draws its own.
         rng = np.random.default_rng(seed)
         for _ in range(index + 1):
             m = int(rng.integers(4, 6))
