@@ -10,6 +10,7 @@ onto the intersection exists for this constraint family.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +33,12 @@ class SolverConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise InvalidConfig(f"rho must be positive, got {self.rho!r}")
-        if self.max_iters < 1:
-            raise InvalidConfig(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if not self.tol > 0:
-            raise InvalidConfig(f"tol must be positive, got {self.tol!r}")
+        if not 0 < self.rho < math.inf:
+            raise InvalidConfig(f"rho must be finite and positive, got {self.rho!r}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise InvalidConfig(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not 0 < self.tol < math.inf:
+            raise InvalidConfig(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass

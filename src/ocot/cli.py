@@ -64,7 +64,10 @@ def load_problem_file(path: str) -> tuple[Problem, OrderedVariates, dict]:
     for key in ("a", "b", "D"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
-    problem = validate_problem(doc["a"], doc["b"], doc["D"], renormalize=doc.get("renormalize", False))
+    renormalize = doc.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ParseError(f"{path}: renormalize must be true or false, got {renormalize!r}")
+    problem = validate_problem(doc["a"], doc["b"], doc["D"], renormalize=renormalize)
     oc = _load_constraints(doc, path)
     oc.check_bounds(*problem.shape)
     return problem, oc, doc
@@ -79,17 +82,18 @@ def _dump(doc: dict, output: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _matrix(arr: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(arr)]
+def _csv_rows(path: str) -> list[list[str]]:
+    """The rows of a CSV file that hold a non-blank cell."""
+    try:
+        with open(path, newline="") as fh:
+            return [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def load_segment_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse a (segment_id, weight, R, G, B) table; weights are normalized."""
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    rows = _csv_rows(path)
     if rows and not _is_float(rows[0][1] if len(rows[0]) > 1 else ""):
         rows = rows[1:]  # header line
     if not rows:
@@ -150,7 +154,7 @@ def cmd_solve(args) -> int:
     plan, trace = solve(problem, oc, _solver_cfg(args))
     doc = {
         "objective": plan.objective,
-        "plan": _matrix(plan.X),
+        "plan": plan.X.tolist(),
         "iterations": plan.iterations,
         "primal_residual": plan.primal_residual,
         "dual_residual": plan.dual_residual,
@@ -159,7 +163,7 @@ def cmd_solve(args) -> int:
         "constraints": [list(p) for p in oc.ranked()],
     }
     if args.emit_z:
-        doc["plan_z"] = _matrix(plan.Z)
+        doc["plan_z"] = plan.Z.tolist()
     _copy_labels(raw, doc)
     _dump(doc, args.output)
     return 0
@@ -235,7 +239,7 @@ def _search_doc(result: SearchResult) -> dict:
             "objective": obj,
             "constraints": [list(p) for p in ranked_pairs],
             "node_id": nid,
-            "plan": _matrix(plan.X),
+            "plan": plan.X.tolist(),
         }
         for rank, (obj, ranked_pairs, nid, plan) in enumerate(result.candidates.entries, 1)
     ]
@@ -300,42 +304,30 @@ def cmd_color_transfer(args) -> int:
             )
         return rows
 
-    candidates = []
     if args.constraints:
         pairs = _load_color_constraints(args.constraints, src_ids, tgt_ids)
         oc = OrderedVariates.from_ranked(pairs)
         plan, _ = solve(problem, oc, _solver_cfg(args))
-        candidates.append(
-            {
-                "rank": 1,
-                "objective": plan.objective,
-                "constraints": [[src_ids[i], tgt_ids[j]] for i, j in oc.ranked()],
-                "mapping": mapping(plan.X),
-            }
-        )
+        entries = [(plan.objective, oc.ranked(), None, plan)]
     else:
         result = branch_and_bound(problem, _search_config(args), _solver_cfg(args))
-        for rank, (obj, ranked_pairs, nid, plan) in enumerate(result.candidates.entries, 1):
-            candidates.append(
-                {
-                    "rank": rank,
-                    "objective": obj,
-                    "constraints": [[src_ids[i], tgt_ids[j]] for i, j in ranked_pairs],
-                    "mapping": mapping(plan.X),
-                }
-            )
+        entries = result.candidates.entries
+    candidates = [
+        {
+            "rank": rank,
+            "objective": obj,
+            "constraints": [[src_ids[i], tgt_ids[j]] for i, j in ranked_pairs],
+            "mapping": mapping(plan.X),
+        }
+        for rank, (obj, ranked_pairs, _, plan) in enumerate(entries, 1)
+    ]
     _dump({"candidates": candidates}, args.output)
     return 0
 
 
 def _load_color_constraints(path: str, src_ids: list[str], tgt_ids: list[str]) -> list[list[int]]:
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
     pairs = []
-    for r in rows:
+    for r in _csv_rows(path):
         if len(r) != 2:
             raise ParseError(f"{path}: expected 'source_id,target_id' rows, got {r}")
         sid, tid = r[0].strip(), r[1].strip()
@@ -352,7 +344,7 @@ def _load_color_constraints(path: str, src_ids: list[str], tgt_ids: list[str]) -
 def cmd_oracle_lp(args) -> int:
     problem, oc, _ = load_problem_file(args.input)
     optimum, plan = oracle.lp_solve_oc(problem, oc)
-    _dump({"optimum": optimum, "plan": _matrix(plan)}, args.output)
+    _dump({"optimum": optimum, "plan": plan.tolist()}, args.output)
     return 0
 
 
@@ -376,7 +368,7 @@ def cmd_oracle_project(args) -> int:
         raise ParseError(f"{args.input}: tol must be a positive number, got {tol!r}")
     oc = _load_constraints(doc, args.input)
     proj = oracle.pgd_project(X, oc, tol=tol)
-    _dump({"projection": _matrix(proj)}, args.output)
+    _dump({"projection": proj.tolist()}, args.output)
     return 0
 
 

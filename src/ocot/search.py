@@ -10,12 +10,13 @@ diverse top-k2 set with the full decision trace.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import baseline
-from .admm import SolverConfig, solve, stop_above
+from .admm import SolverConfig, SolverTrace, solve, stop_above
 from .bounds import lower_bound
 from .core import OrderedVariates, Problem, TransportPlan
 from .errors import InvalidConfig
@@ -37,6 +38,9 @@ class SearchConfig:
     def __post_init__(self):
         if not (0.0 <= self.tau1 <= 1.0 and 0.0 <= self.tau2 <= 1.0):
             raise InvalidConfig(f"thresholds must lie in [0, 1]; got {self.tau1}, {self.tau2}")
+        for name in ("k1", "k2", "k3"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.k1 >= self.k2 >= 1:
             raise InvalidConfig(f"need k1 >= k2 >= 1; got k1={self.k1}, k2={self.k2}")
         if self.k3 < 1:
@@ -103,11 +107,10 @@ class SearchNode:
     variates: OrderedVariates
     phi: float
     parent_id: int | None
-    parent_objective: float | None
     status: str = "open"  # open | root | solved | pruned
     prune_reason: str | None = None  # bound | parent-cost
     bound: float | None = None
-    objective: float | None = None  # the ranked value; None unless the solve ended on tol
+    objective: float | None = None  # ranked: the path maximum; None unless the solve ended on tol
     plan: TransportPlan | None = None
     termination: str | None = None  # the solve's stop reason; None when not solved
     lower_bound: float | None = None  # the solve's certified bound; None when not solved
@@ -156,10 +159,6 @@ class SearchResult:
     candidates: CandidateSet
     subtree: list[int]  # ids on root-paths of the final top plans
     trace: list[SearchNode]
-    base_plan: np.ndarray  # dense seed plan used for the root statistics
-
-    def node(self, node_id: int) -> SearchNode:
-        return self.trace[node_id]
 
 
 def branch_and_bound(
@@ -177,18 +176,18 @@ def branch_and_bound(
     it out against the current k2-th best, the bound only past ``stop_above``'s
     margin, since tol-level noise can leave an objective below an exact bound;
     solved nodes expand unless they sit at the depth cap or failed to improve.
-    Only solves that end on ``tol`` carry an objective
-    and are ranked, the root's included; a loop solve that stops short is not
-    expanded either. A node's objective is the larger of its own and its
-    parent's, since an LP optimum never falls along a path; ranking sorts on
-    (objective, listing), and parent-cost pruning skips a child only when
-    (parent objective, child listing) sorts after the k2-th entry, so
-    pruning and ranking agree where tol-level noise splits LP ties. Once k2
-    candidates exist and pruning is on, a solve gets the k2-th best
-    objective as its cutoff and ends ``dominated`` when its certified lower
-    bound proves it above that: such a node counts against k1 but is neither
-    ranked nor expanded, since no child's optimum is below its own. The
-    solver-call budget k1 counts loop solves only.
+    Only solves that end on ``tol`` carry an objective and are ranked, the
+    root's included; a loop solve that stops short is not expanded either,
+    while the root always is, from its entropic twin. A node's objective is
+    the larger of its own and its parent's, since an LP optimum never falls
+    along a path; ranking sorts on (objective, listing), and parent-cost
+    pruning skips a child only when (parent objective, child listing) sorts
+    after the k2-th entry, so pruning and ranking agree where tol-level
+    noise splits LP ties. Once k2 candidates exist and pruning is on, a solve
+    gets the k2-th best objective as its cutoff and ends ``dominated`` when
+    its certified lower bound proves it above that: such a node counts
+    against k1 but is neither ranked nor expanded, since no child's optimum
+    is below its own. The solver-call budget k1 counts loop solves only.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     solver_cfg = solver_cfg if solver_cfg is not None else SolverConfig()
@@ -199,29 +198,22 @@ def branch_and_bound(
     trace: list[SearchNode] = []
     candidates = CandidateSet(capacity=cfg.k2)
 
-    root_plan, root_trace = baseline.solve(problem, OrderedVariates(), solver_cfg)
-    base_plan = baseline.solve_entropic(problem)
-    root = SearchNode(
-        node_id=0,
-        variates=OrderedVariates(),
-        phi=0.0,
-        parent_id=None,
-        parent_objective=None,
-        status="root",
-        objective=root_plan.objective if root_trace.termination == "tol" else None,
-        plan=root_plan,
-        termination=root_trace.termination,
-        lower_bound=root_trace.lower_bound,
-        expanded=True,
-    )
-    trace.append(root)
-    if root.termination == "tol":
-        candidates.add(root_plan.objective, root.variates, 0, root_plan)
+    def settle(node: SearchNode, plan: TransportPlan, solver_trace: SolverTrace) -> bool:
+        """Store a solve on its node; rank it at the path maximum if it ended
+        on tol, and say whether it did."""
+        node.plan = plan
+        node.termination = solver_trace.termination
+        node.lower_bound = solver_trace.lower_bound
+        if node.termination != "tol":
+            return False
+        parent_objective = None if node.parent_id is None else trace[node.parent_id].objective
+        node.objective = (
+            plan.objective if parent_objective is None else max(plan.objective, parent_objective)
+        )
+        candidates.add(node.objective, node.variates, node.node_id, plan)
+        return True
 
     heap: list[tuple[float, tuple[tuple[int, int], ...], int]] = []
-    # the final scaled dual of each expanded node, the other half of its
-    # children's start; kept for expanded nodes only
-    duals = {0: root_trace.scaled_dual}
 
     def push_children(parent: SearchNode, stats_plan: np.ndarray):
         for (i, j), phi_val in candidate_variates(problem, stats_plan, cfg):
@@ -232,25 +224,36 @@ def branch_and_bound(
                 variates=parent.variates.extended((i, j)),
                 phi=phi_val,
                 parent_id=parent.node_id,
-                parent_objective=parent.objective,
             )
             trace.append(child)
             heapq.heappush(heap, (child.phi, tuple(child.variates.ranked()), child.node_id))
 
-    push_children(root, base_plan)
+    root = SearchNode(
+        node_id=0,
+        variates=OrderedVariates(),
+        phi=0.0,
+        parent_id=None,
+        status="root",
+        expanded=True,
+    )
+    trace.append(root)
+    root_plan, root_trace = baseline.solve(problem, root.variates, solver_cfg)
+    settle(root, root_plan, root_trace)
+    # the final scaled dual of each expanded node, the other half of its
+    # children's start; kept for expanded nodes only
+    duals = {0: root_trace.scaled_dual}
+    push_children(root, baseline.solve_entropic(problem))
 
     count = 0
     while count < cfg.k1 and heap:
         _, listing, node_id = heapq.heappop(heap)
         node = trace[node_id]
+        parent = trace[node.parent_id]
 
         cutoff = None  # the k2-th best objective, once pruning applies
         if cfg.prune and candidates.full:
             cutoff = candidates.worst_objective
-            if (
-                node.parent_objective is not None
-                and (node.parent_objective, listing) > candidates.worst_key
-            ):
+            if parent.objective is not None and (parent.objective, listing) > candidates.worst_key:
                 node.status = "pruned"
                 node.prune_reason = "parent-cost"
                 node.expand_skip_reason = "not-solved"
@@ -262,25 +265,17 @@ def branch_and_bound(
                 node.expand_skip_reason = "not-solved"
                 continue
 
-        parent = trace[node.parent_id]
         plan, solver_trace = solve(
             problem, node.variates, solver_cfg, cutoff=cutoff,
             start=(parent.plan.Z, duals[parent.node_id]),
         )
         count += 1
         node.status = "solved"
-        node.plan = plan
-        node.termination = solver_trace.termination
-        node.lower_bound = solver_trace.lower_bound
-        if node.termination != "tol":
+        if not settle(node, plan, solver_trace):
             node.expand_skip_reason = (
                 "dominated" if node.termination == "dominated" else "not-converged"
             )
             continue
-        node.objective = plan.objective
-        if node.parent_objective is not None:
-            node.objective = max(node.objective, node.parent_objective)
-        candidates.add(node.objective, node.variates, node.node_id, plan)
 
         if node.depth >= cfg.k3:
             node.expand_skip_reason = "depth"
@@ -302,5 +297,4 @@ def branch_and_bound(
         candidates=candidates,
         subtree=sorted(subtree_ids),
         trace=trace,
-        base_plan=base_plan,
     )

@@ -66,7 +66,13 @@ def assert_rounds_match_kernels(p, oc, cfg):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kwargs", [{"rho": 0.0}, {"rho": -1.0}, {"tol": 0.0}, {"max_iters": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rho": 0.0}, {"rho": -1.0}, {"tol": 0.0}, {"max_iters": 0},
+            {"rho": float("inf")}, {"tol": float("inf")}, {"max_iters": 2.5},
+        ],
+    )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfig):
             SolverConfig(**kwargs)

@@ -74,6 +74,14 @@ class TestSolveCommand:
         plan = np.asarray(json.loads(out)["plan"])
         assert plan.sum(axis=1) == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
 
+    def test_renormalize_key_must_be_boolean(self, capsys, tmp_path):
+        doc = {"a": [1, 1], "b": [0.5, 0.5], "D": [[0, 1], [1, 0]], "renormalize": "no"}
+        path = write_json(tmp_path, "renorm_str.json", doc)
+        code, out, err = run(capsys, "bound", path)
+        assert code == 2
+        assert out == ""
+        assert "renormalize must be true or false" in err
+
     def test_unnormalized_without_flag_rejected(self, capsys, tmp_path):
         doc = {"a": [0.6, 0.3], "b": [0.5, 0.5], "D": [[0, 1], [1, 0]]}
         path = write_json(tmp_path, "unnorm.json", doc)
@@ -111,6 +119,12 @@ class TestSolveCommand:
     def test_bad_config_exit_code(self, capsys):
         code, _, err = run(capsys, "solve", DATA / "analytic_2x2.json", "--tol", "0")
         assert code == 3
+        assert "InvalidConfig" in err
+
+    def test_infinite_rho_exit_code(self, capsys):
+        code, out, err = run(capsys, "solve", DATA / "analytic_2x2.json", "--rho", "inf")
+        assert code == 3
+        assert out == ""
         assert "InvalidConfig" in err
 
     def test_output_round_trips_exactly(self, capsys, tmp_path):

@@ -74,6 +74,10 @@ class TestSearchConfig:
         with pytest.raises(InvalidConfig):
             SearchConfig(k1=2, k2=5)
 
+    def test_non_integer_count(self):
+        with pytest.raises(InvalidConfig):
+            SearchConfig(k1=20, k2=2.5)
+
     def test_depth_capped_by_shape(self, symmetric_2x2):
         with pytest.raises(InvalidConfig):
             branch_and_bound(symmetric_2x2, SearchConfig(k3=3))
@@ -257,7 +261,6 @@ class TestLPTies:
                 continue
             parent = res.trace[nd.parent_id].objective
             assert nd.objective == max(nd.plan.objective, parent)
-            assert nd.parent_objective == parent
 
 
 class TestWarmStart:
@@ -321,6 +324,22 @@ class TestUnconvergedSolves:
         assert {"tol", "max_iters"} <= seen
 
 
+    def test_root_that_stops_short_is_still_expanded(self):
+        # five rounds cannot converge the root: it carries no objective and
+        # ranks nothing, but the entropic seed still expands it
+        p = uniform_problem(np.random.default_rng(1), 5, 5)
+        cfg = SearchConfig(tau1=0.6, tau2=1.0, k1=6, k2=2, k3=2)
+        res = branch_and_bound(p, cfg, SolverConfig(max_iters=5))
+        root = res.trace[0]
+        assert root.status == "root"
+        assert root.termination == "max_iters"
+        assert root.objective is None
+        assert root.expanded
+        assert sum(nd.parent_id == 0 for nd in res.trace) == 23
+        assert res.candidates.entries == []
+        assert not any(nd.prune_reason == "parent-cost" for nd in res.trace)
+
+
 class TestConvergedCandidatesOnly:
     def test_no_lp_infeasible_set_is_ranked(self):
         # skewed marginals make many chains LP-infeasible; their solves stop
@@ -347,7 +366,7 @@ class TestConvergedCandidatesOnly:
                             pytest.fail(f"LP-infeasible constraint set {ranked} was ranked")
                         ranked_sets += 1
                 for node_id in res.candidates.node_ids():
-                    assert res.node(node_id).termination == "tol"
+                    assert res.trace[node_id].termination == "tol"
                 for nd in res.trace:
                     if nd.status == "solved" and nd.termination != "tol":
                         not_converged += nd.termination == "max_iters"
