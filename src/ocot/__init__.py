@@ -6,7 +6,7 @@ top-k set of explainable transport plans.
 """
 
 from .admm import SolverConfig, SolverTrace, solve
-from .baseline import EntropicConfig, solve_entropic
+from .baseline import solve_entropic
 from .bounds import lower_bound, lower_bound_detail, packing
 from .core import (
     MembershipReport,
@@ -24,7 +24,6 @@ from .search import SearchConfig, SearchResult, branch_and_bound, candidate_vari
 __version__ = "0.1.0"
 
 __all__ = [
-    "EntropicConfig",
     "MembershipReport",
     "OrderedVariates",
     "Problem",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,16 +48,12 @@ class SolverTrace:
     on the LP optimum at the last iterate and the final scaled dual M, which
     with the plan's Z can start another solve."""
 
-    objectives: np.ndarray = field(default_factory=lambda: np.empty(0))
-    primal: np.ndarray = field(default_factory=lambda: np.empty(0))
-    dual: np.ndarray = field(default_factory=lambda: np.empty(0))
-    termination: str = ""
-    lower_bound: float = -math.inf
-    scaled_dual: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @property
-    def iterations(self) -> int:
-        return int(self.objectives.size)
+    objectives: np.ndarray
+    primal: np.ndarray
+    dual: np.ndarray
+    termination: str
+    lower_bound: float
+    scaled_dual: np.ndarray
 
 
 def certified_lower_bound(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import warnings
@@ -36,12 +37,25 @@ RGB_SCALE = 195075.0  # 3 * 255^2, the largest squared RGB distance
 # documents
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_object(path: str) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -74,21 +88,17 @@ def load_problem_file(path: str) -> tuple[Problem, OrderedVariates, dict]:
 
 
 def _dump(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(output, text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def _csv_rows(path: str) -> list[list[str]]:
     """The rows of a CSV file that hold a non-blank cell."""
-    try:
-        with open(path, newline="") as fh:
-            return [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    lines = io.StringIO(_read_text(path), newline="")
+    return [r for r in csv.reader(lines) if r and any(cell.strip() for cell in r)]
 
 
 def load_segment_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -274,8 +284,7 @@ def cmd_search(args) -> int:
     dot = search_dot(result)
     doc["dot"] = dot
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot)
+        _write_text(args.dot, dot)
     _dump(doc, args.output)
     return 0
 

@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteCost,
     NotNormalized,
     OrderCheckFailed,
+    ParseError,
     RepeatedIndices,
     ShapeMismatch,
 )
@@ -167,6 +168,13 @@ class MembershipReport:
         return self.max_violation <= self.tol
 
 
+def _numeric(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric nesting
+        raise ParseError(f"{name} is not a numeric array: {exc}") from exc
+
+
 def validate_problem(a, b, D, renormalize: bool = False) -> Problem:
     """Validate raw marginals and costs and return an immutable Problem.
 
@@ -174,9 +182,7 @@ def validate_problem(a, b, D, renormalize: bool = False) -> Problem:
     rejected unless ``renormalize`` is set, in which case the vectors are
     divided by their sums. Costs must be non-negative and finite.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    D = np.asarray(D, dtype=float)
+    a, b, D = (_numeric(name, v) for name, v in (("a", a), ("b", b), ("D", D)))
     if a.ndim != 1 or b.ndim != 1 or D.ndim != 2:
         raise ShapeMismatch(
             f"expected 1-d a, 1-d b, 2-d D; got {a.ndim}-d, {b.ndim}-d, {D.ndim}-d"

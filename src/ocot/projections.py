@@ -232,7 +232,6 @@ class OrderConeProjector:
 
     def __init__(self, oc: OrderedVariates, m: int, n: int):
         oc.check_bounds(m, n)
-        self.oc = oc
         self.shape = (m, n)
         self.chain_flat = np.array([i * n + j for i, j in oc.pairs], dtype=np.intp)
         self.tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())

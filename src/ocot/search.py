@@ -19,7 +19,7 @@ from . import baseline
 from .admm import SolverConfig, SolverTrace, solve, stop_above
 from .bounds import lower_bound
 from .core import OrderedVariates, Problem, TransportPlan
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ShapeMismatch
 
 DEFAULT_TAUS = (0.5, 0.5)
 COLOR_TAUS = (0.5, 1.0)
@@ -56,7 +56,8 @@ def saturation(problem: Problem, plan: np.ndarray) -> tuple[np.ndarray, np.ndarr
     max over an empty neighbourhood (single row or column) is 0.
     """
     plan = np.asarray(plan, dtype=float)
-    m, n = problem.shape
+    if plan.shape != problem.shape:
+        raise ShapeMismatch(f"plan has shape {plan.shape}, expected {problem.shape}")
     caps = np.minimum(problem.a[:, None], problem.b[None, :])
     phi = np.where(caps > 0.0, plan / np.where(caps > 0.0, caps, 1.0), 1.0)
 
@@ -75,8 +76,8 @@ def _exclude_self_max(phi: np.ndarray, axis: int) -> np.ndarray:
         top = np.sort(work, axis=1)[:, -2:]  # second-largest, largest
         largest = top[:, 1][:, None]
         second = top[:, 0][:, None]
-        is_unique_max = (work >= largest) & (np.sum(work >= largest, axis=1, keepdims=True) == 1)
-        out = np.where(is_unique_max, second, largest)
+        # at a tied maximum second == largest, so every maximal cell gets the maximum
+        out = np.where(work >= largest, second, largest)
     return out if axis == 1 else out.T
 
 

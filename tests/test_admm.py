@@ -97,9 +97,9 @@ class TestConfig:
                 cols.append(next(int(j) for j in np.argsort(p.D[i], kind="stable") if j not in cols))
             oc = OrderedVariates.from_ranked(list(zip(rows.tolist(), cols)))
             for rho in rounds:
-                _, trace = solve(p, oc, SolverConfig(rho=rho))
+                plan, trace = solve(p, oc, SolverConfig(rho=rho))
                 assert trace.termination == "tol"
-                rounds[rho] += trace.iterations
+                rounds[rho] += plan.iterations
         assert rounds[SolverConfig().rho] <= 0.7 * rounds[1.0]
 
 
@@ -193,13 +193,12 @@ class TestSolve:
         assert trace.termination == "dominated"
         assert plan.iterations % CERT_PERIOD == 0
         assert 0.9 * opt * (1.0 + CUTOFF_MARGIN) < trace.lower_bound <= opt * (1.0 + 1e-9)
-        _, full = solve(p, oc, SolverConfig(tol=1e-8))
+        full, _ = solve(p, oc, SolverConfig(tol=1e-8))
         assert plan.iterations < full.iterations
 
     def test_trace_lengths(self, symmetric_2x2):
         plan, trace = solve(symmetric_2x2, OrderedVariates(((0, 1),)))
-        assert trace.iterations == plan.iterations
-        assert trace.objectives.size == trace.primal.size == trace.dual.size
+        assert plan.iterations == trace.objectives.size == trace.primal.size == trace.dual.size
         assert np.all(trace.primal >= 0.0) and np.all(trace.dual >= 0.0)
 
 

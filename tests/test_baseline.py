@@ -3,13 +3,13 @@ import pytest
 
 from conftest import uniform_problem
 from ocot import (
-    EntropicConfig,
     OrderedVariates,
+    baseline,
     solve,
     solve_entropic,
     validate_problem,
 )
-from ocot.errors import InvalidConfig, NumericalUnderflow
+from ocot.errors import NumericalUnderflow
 from ocot.oracle import lp_solve_oc
 
 
@@ -19,8 +19,10 @@ class TestEntropic:
         plan = solve_entropic(p)
         np.testing.assert_allclose(plan, np.outer(p.a, p.b), atol=1e-14)
 
-    def test_small_epsilon_approaches_exact(self, symmetric_2x2):
-        plan = solve_entropic(symmetric_2x2, EntropicConfig(iterations=200, epsilon=0.01))
+    def test_small_epsilon_approaches_exact(self, symmetric_2x2, monkeypatch):
+        monkeypatch.setattr(baseline, "ITERATIONS", 200)
+        monkeypatch.setattr(baseline, "EPSILON_SCALE", 0.01)  # max D is 1, so epsilon = 0.01
+        plan = solve_entropic(symmetric_2x2)
         np.testing.assert_allclose(plan, [[0.5, 0.0], [0.0, 0.5]], atol=1e-2)
 
     def test_strict_positivity(self):
@@ -35,34 +37,31 @@ class TestEntropic:
         plan = solve_entropic(p)
         assert np.max(np.abs(plan.sum(axis=1) - p.a)) <= 1e-12
 
-    def test_column_error_non_increasing_in_iterations(self):
+    def test_column_error_non_increasing_in_iterations(self, monkeypatch):
         rng = np.random.default_rng(43)
         p = uniform_problem(rng, 6, 6)
         errs = []
         for iters in (1, 5, 10, 20, 40):
-            plan = solve_entropic(p, EntropicConfig(iterations=iters))
+            monkeypatch.setattr(baseline, "ITERATIONS", iters)
+            plan = solve_entropic(p)
             errs.append(np.max(np.abs(plan.sum(axis=0) - p.b)))
         assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
 
-    def test_entropy_non_decreasing_in_epsilon(self):
+    def test_entropy_non_decreasing_in_epsilon(self, monkeypatch):
         rng = np.random.default_rng(44)
         p = uniform_problem(rng, 5, 5)
+        monkeypatch.setattr(baseline, "ITERATIONS", 200)
         entropies = []
         for eps in (0.02, 0.05, 0.1, 0.5, 2.0):
-            plan = solve_entropic(p, EntropicConfig(iterations=200, epsilon=eps))
+            monkeypatch.setattr(baseline, "EPSILON_SCALE", eps / p.D.max())
+            plan = solve_entropic(p)
             entropies.append(float(-(plan * np.log(plan)).sum()))
         assert all(b >= a - 1e-10 for a, b in zip(entropies, entropies[1:]))
 
     def test_underflow_detection(self):
-        p = validate_problem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e5], [1e5, 0.0]])
+        p = validate_problem([0.5, 0.5], [1.0, 5e-324], [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NumericalUnderflow):
-            solve_entropic(p, EntropicConfig(epsilon=1.0))
-
-    def test_config_validation(self):
-        with pytest.raises(InvalidConfig):
-            EntropicConfig(iterations=0)
-        with pytest.raises(InvalidConfig):
-            EntropicConfig(epsilon=-0.5)
+            solve_entropic(p)
 
 
 class TestExactUnconstrained:

@@ -66,6 +66,38 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", path)
         assert code == 2
 
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "solve", path)
+        assert code == 2
+        assert "ParseError" in err and "cannot read" in err
+
+    @pytest.mark.parametrize("command", [("solve",), ("bound",), ("oracle", "lp")])
+    @pytest.mark.parametrize(
+        "field", [{"D": [[0, 1], [1]]}, {"D": [[0, "x"], [1, 0]]}, {"a": {"x": 1}}]
+    )
+    def test_malformed_arrays_are_parse_errors(self, capsys, tmp_path, command, field):
+        doc = {"a": [0.5, 0.5], "b": [0.5, 0.5], "D": [[0, 1], [1, 0]], **field}
+        path = write_json(tmp_path, "malformed.json", doc)
+        code, _, err = run(capsys, *command, path)
+        assert code == 2
+        assert f"{next(iter(field))} is not a numeric array" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", DATA / "analytic_2x2.json", "--output"),
+            ("search", DATA / "search_4x4.json", "--k1", "2", "--k2", "1", "--dot"),
+        ],
+    )
+    def test_unwritable_output_is_parse_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.json"
+        code, _, err = run(capsys, *argv, target)
+        assert code == 2
+        assert "cannot write" in err
+        assert not target.parent.exists()
+
     def test_renormalize_file_key(self, capsys, tmp_path):
         doc = {"a": [0.6, 0.3], "b": [0.5, 0.5], "D": [[0, 1], [1, 0]], "renormalize": True}
         path = write_json(tmp_path, "renorm.json", doc)
@@ -320,6 +352,13 @@ class TestColorTransfer:
         code, _, err = run(capsys, "color-transfer", empty, DATA / "color_target_2.csv")
         assert code == 2
         assert "EmptyTable" in err
+
+    def test_non_utf8_table_is_parse_error(self, capsys, tmp_path):
+        src = tmp_path / "s.csv"
+        src.write_bytes(b"s\xff,1,10,20,30\n")
+        code, _, err = run(capsys, "color-transfer", src, DATA / "color_target_2.csv")
+        assert code == 2
+        assert "ParseError" in err and "cannot read" in err
 
     def test_zero_weights(self, capsys, tmp_path):
         src = tmp_path / "s.csv"

@@ -15,6 +15,7 @@ from ocot.errors import (
     NonFiniteCost,
     NotNormalized,
     OrderCheckFailed,
+    ParseError,
     RepeatedIndices,
     ShapeMismatch,
 )
@@ -45,6 +46,19 @@ class TestValidateProblem:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             validate_problem([0.5, 0.5], [0.5, 0.5], [[0, 1, 2], [1, 0, 2]])
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("D", ([0.5, 0.5], [0.5, 0.5], [[0, 1], [1]])),
+            ("D", ([0.5, 0.5], [0.5, 0.5], [[0, "x"], [1, 0]])),
+            ("a", ({"x": 1}, [1.0], [[0.0]])),
+            ("b", ([1.0], ["x"], [[0.0]])),
+        ],
+    )
+    def test_ragged_or_non_numeric_arrays(self, name, args):
+        with pytest.raises(ParseError, match=f"^{name} is not a numeric array"):
+            validate_problem(*args)
 
     def test_negative_marginal(self):
         with pytest.raises(NegativeEntry):

@@ -15,7 +15,7 @@ from ocot import (
     validate_problem,
 )
 from ocot.cli import search_dot
-from ocot.errors import Infeasible, InvalidConfig
+from ocot.errors import Infeasible, InvalidConfig, ShapeMismatch
 from ocot.oracle import lp_solve_oc
 from ocot.search import COLOR_TAUS
 
@@ -41,6 +41,15 @@ class TestSaturation:
         _, big_phi = saturation(p, plan)
         # the row scan has no other column: empty max falls back to 0
         np.testing.assert_allclose(big_phi, 0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 3), (12,)])
+    def test_plan_of_the_wrong_shape(self, shape):
+        p = uniform_problem(np.random.default_rng(5), 3, 4)
+        plan = np.full(shape, 1.0 / 12)
+        with pytest.raises(ShapeMismatch):
+            saturation(p, plan)
+        with pytest.raises(ShapeMismatch):
+            candidate_variates(p, plan, SearchConfig())
 
     def test_zero_marginal_fully_saturated(self):
         p = validate_problem([1.0, 0.0], [0.5, 0.5], np.ones((2, 2)))
