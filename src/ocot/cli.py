@@ -104,7 +104,7 @@ def _csv_rows(path: str) -> list[list[str]]:
 def load_segment_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse a (segment_id, weight, R, G, B) table; weights are normalized."""
     rows = _csv_rows(path)
-    if rows and not _is_float(rows[0][1] if len(rows[0]) > 1 else ""):
+    if rows and len(rows[0]) == 5 and not _is_float(rows[0][1]):
         rows = rows[1:]  # header line
     if not rows:
         raise EmptyTable(f"{path}: no segment rows")

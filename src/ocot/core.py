@@ -168,11 +168,26 @@ class MembershipReport:
         return self.max_violation <= self.tol
 
 
+def _flag_or_text(value) -> bool:
+    """Whether ``value`` is a bool or string array, or nests a bool or string leaf.
+
+    A numeric numpy array is judged by its dtype, not walked cell by cell.
+    """
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        return value.dtype.kind in "bSU"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return any(map(_flag_or_text, value))
+    return isinstance(value, (bool, np.bool_, str, bytes))
+
+
 def _numeric(name: str, value) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric nesting
         raise ParseError(f"{name} is not a numeric array: {exc}") from exc
+    if _flag_or_text(value):  # asarray would read true as 1.0 and "0.5" as 0.5
+        raise ParseError(f"{name} is not a numeric array: it holds a boolean or a string")
+    return arr
 
 
 def validate_problem(a, b, D, renormalize: bool = False) -> Problem:

@@ -56,58 +56,31 @@ def project_marginals(W: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarr
     return out
 
 
-# The top-K prefix path beats one full stable sort once the tail is about
-# eight times longer than K (random tails from 8x6 to 100x100, K = m + n);
-# below that the fixed cost of partition and selection dominates.
-PREFIX_MIN_RATIO = 10
-
-
-class PrefixExhausted(Exception):
-    """A lookup reached the end of a truncated evaluator's prefix.
-
-    The pooled count it would return, for a threshold lookup or for a merge
-    into the bottom block, depends on tail cells outside the prefix; the
-    caller rebuilds with a longer prefix.
-    """
-
-
 @dataclass(slots=True)
 class ThresholdEvaluator:
-    """Evaluation of the top-block threshold over a ranked tail prefix.
+    """Evaluation of the top-block threshold over a ranked tail.
 
-    ``sorted_tail`` holds the largest unconstrained cell values descending:
-    the whole tail when ``complete``, otherwise only a top prefix of it, which
-    costs O(N) to select instead of O(N log N) to sort all N tail cells.
-    ``x_top`` is the bottom-of-chain cell value. ``breakpoints[s-1]`` is the
-    dual value at which the pooled prefix grows from s-1 to s cells; it is
-    non-decreasing, so lookup is a bisection.
-    A truncated evaluator raises ``PrefixExhausted`` rather than answer a
-    lookup whose pooled count reaches the end of its prefix.
+    ``sorted_tail`` holds the tail values descending; the projector passes
+    only the positive ones (see ``OrderConeProjector``). ``x_top`` is the
+    bottom-of-chain cell value. ``breakpoints[s-1]`` is the dual value at
+    which the pooled tail grows from s-1 to s cells; it is non-decreasing, so
+    lookup is a bisection.
     """
 
     sorted_tail: np.ndarray
     x_top: float
     prefix_sums: np.ndarray
     breakpoints: np.ndarray
-    complete: bool
 
     @classmethod
-    def from_values(cls, x_top: float, tail, top_k: int | None = None) -> "ThresholdEvaluator":
+    def from_values(cls, x_top: float, tail) -> "ThresholdEvaluator":
         """Sort the ``tail`` values descending and build the breakpoints.
 
         Only values are ranked, not cells: equal values are interchangeable in
-        every sum, and the projection writes the tail by clipping. With
-        ``top_k`` set and a tail at least ``PREFIX_MIN_RATIO`` times longer,
-        one partition selects the top_k + 1 largest values and only they are
-        sorted; they are exactly the head of the full ranking, so every sum
-        and breakpoint over them is bit-identical to the full one.
+        every sum, and the projection writes the tail by clipping.
         """
         tail = np.asarray(tail, dtype=float).ravel()
-        N = tail.size
-        if top_k is not None and N >= PREFIX_MIN_RATIO * top_k:
-            srt = np.sort(np.partition(tail, N - top_k - 1)[N - top_k - 1 :])[::-1]
-        else:
-            srt = np.sort(tail)[::-1]
+        srt = np.sort(tail)[::-1]
         R = srt.size
         prefix = np.empty(R + 1)
         prefix[0] = 0.0
@@ -120,7 +93,6 @@ class ThresholdEvaluator:
             x_top=float(x_top),
             prefix_sums=prefix,
             breakpoints=brk,
-            complete=R == N,
         )
 
 
@@ -132,8 +104,6 @@ def threshold_T(ev: ThresholdEvaluator, eta: float) -> tuple[float, int]:
     empty-candidate convention (pool every tail cell above the shifted top).
     """
     t = int(ev.breakpoints.searchsorted(eta, side="right"))
-    if not ev.complete and t == ev.breakpoints.size:
-        raise PrefixExhausted(f"pooled count reaches the {t}-cell prefix")
     tau = (ev.x_top - eta + ev.prefix_sums[t]) / (t + 1)
     return max(tau, 0.0), t
 
@@ -192,8 +162,6 @@ def epava_blocks(chain: np.ndarray, ev: ThresholdEvaluator) -> BlockPartition:
                 total = float(add_reduce(chain[1 : q + 1]))
                 delta = total / q
                 t = int((brk - q * srt).searchsorted(-q * delta, side="right"))
-                if t == brk.size and not ev.complete:
-                    raise PrefixExhausted(f"pooled count reaches the {t}-cell prefix")
                 val[0] = max((ev.x_top + total + prefix[t]) / (q + 1 + t), 0.0)
                 ri[0] = q
             else:
@@ -222,12 +190,10 @@ class OrderConeProjector:
     """Reusable projector onto the order cone of a fixed constraint list.
 
     Precomputes the constrained and the unconstrained flat indices, so each
-    call is ``ThresholdEvaluator.from_values`` (a top-``top_k`` prefix of the
-    tail on large tails, else one tail sort), the linear chain sweep with one
-    bisection per merge into the bottom block, and one clip of the whole
-    matrix; with k = 0 a call is the clip alone. The solver re-projects every
-    round. ``top_k`` starts at m + n and doubles, for the rest of this
-    projector's life, whenever the pooled count reaches the end of the prefix.
+    call is ``ThresholdEvaluator.from_values`` over the positive tail cells,
+    the linear chain sweep with one bisection per merge into the bottom
+    block, and one clip of the whole matrix; with k = 0 a call is the clip
+    alone. The solver re-projects every round.
     """
 
     def __init__(self, oc: OrderedVariates, m: int, n: int):
@@ -235,7 +201,6 @@ class OrderConeProjector:
         self.shape = (m, n)
         self.chain_flat = np.array([i * n + j for i, j in oc.pairs], dtype=np.intp)
         self.tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
-        self.top_k = m + n
 
     def __call__(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -252,13 +217,10 @@ class OrderConeProjector:
         x = X.ravel()
         chain = x[self.chain_flat]
         tail = x[self.tail_flat]
-        while True:
-            ev = ThresholdEvaluator.from_values(chain[0], tail, self.top_k)
-            try:
-                blocks = epava_blocks(chain, ev)
-                break
-            except PrefixExhausted:
-                self.top_k *= 2
+        # A tail cell <= 0 pools into the bottom block only when the block's
+        # value T clamps to 0, and the clip below writes it 0 either way; so
+        # the positive cells alone give the same T, blocks and output.
+        blocks = epava_blocks(chain, ThresholdEvaluator.from_values(chain[0], tail[tail > 0.0]))
 
         # The pooled tail cells are the ones at or above the bottom block's
         # value T and take T; every other tail cell lies below T and takes

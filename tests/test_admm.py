@@ -162,8 +162,8 @@ class TestSolve:
             assert np.array_equal(plan.Z, project_c2_epava(plan.X, oc))
             for variates in (oc, OrderedVariates()):
                 assert_rounds_match_kernels(p, variates, SolverConfig(rho=rho, max_iters=40))
-        # 64x64 with k = 4: the top-K prefix path, and merges into the bottom
-        # block that re-solve the threshold equation
+        # 64x64 with k = 4: the positive-tail evaluator, and merges into the
+        # bottom block that re-solve the threshold equation
         p = uniform_problem(rng, 64, 64)
         assert_rounds_match_kernels(p, random_variates(rng, 64, 64, 4), SolverConfig(max_iters=40))
 

@@ -75,7 +75,15 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("command", [("solve",), ("bound",), ("oracle", "lp")])
     @pytest.mark.parametrize(
-        "field", [{"D": [[0, 1], [1]]}, {"D": [[0, "x"], [1, 0]]}, {"a": {"x": 1}}]
+        "field",
+        [
+            {"D": [[0, 1], [1]]},
+            {"D": [[0, "x"], [1, 0]]},
+            {"a": {"x": 1}},
+            {"a": [True, False]},
+            {"a": ["0.5", "0.5"]},
+            {"D": [[0, True], [1, 0]]},
+        ],
     )
     def test_malformed_arrays_are_parse_errors(self, capsys, tmp_path, command, field):
         doc = {"a": [0.5, 0.5], "b": [0.5, 0.5], "D": [[0, 1], [1, 0]], **field}
@@ -359,6 +367,13 @@ class TestColorTransfer:
         code, _, err = run(capsys, "color-transfer", src, DATA / "color_target_2.csv")
         assert code == 2
         assert "ParseError" in err and "cannot read" in err
+
+    def test_short_first_row_is_not_a_header(self, capsys, tmp_path):
+        src = tmp_path / "s.csv"
+        src.write_text("s0\ns1,0.5,1,2,3\ns2,0.5,4,5,6\n")
+        code, _, err = run(capsys, "color-transfer", src, DATA / "color_target_2.csv")
+        assert code == 2
+        assert "expected 5 columns" in err
 
     def test_zero_weights(self, capsys, tmp_path):
         src = tmp_path / "s.csv"

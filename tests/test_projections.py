@@ -9,7 +9,6 @@ from ocot.oracle import c1_project_dense, kkt_verify, pgd_project
 from ocot.projections import (
     BlockPartition,
     OrderConeProjector,
-    PrefixExhausted,
     ThresholdEvaluator,
     epava_blocks,
     project_c1,
@@ -79,7 +78,6 @@ def full_sort_evaluator(x_top, tail):
         x_top=float(x_top),
         prefix_sums=prefix,
         breakpoints=brk,
-        complete=True,
     )
 
 
@@ -288,31 +286,23 @@ class TestBottomMerge:
         assert clamped == 40
 
     def test_merge_past_truncated_prefix(self):
-        # T(0) is answered inside the 11-cell prefix, but a slot at -10000
-        # merged into the bottom block pools far more tail cells than that
+        # a slot at -10000 merged into the bottom block pools hundreds of
+        # tail cells
         tail = np.arange(1000.0)
         chain = np.array([2000.0, -10000.0])
-        ev = ThresholdEvaluator.from_values(chain[0], tail, top_k=10)
-        assert not ev.complete and ev.sorted_tail.size == 11
-        assert threshold_T(ev, 0.0)[1] == 0
         _, lo, _ = brute_merge(chain[0], chain[1:], tail)
-        assert lo > 11
-        with pytest.raises(PrefixExhausted):
-            epava_blocks(chain, ev)
+        assert lo > 100
         self.check_merge(chain, tail)
 
     def test_projector_doubles_past_a_merge(self):
-        # the same merge inside a 40x40 projection: the first 80-cell prefix
-        # runs out during the merge and the projector's doubling recovers
+        # the same merge inside a 40x40 projection: the slot at -200 pools
+        # more tail cells into the bottom block than m + n
         rng = np.random.default_rng(24)
         oc = random_variates(rng, 40, 40, 2)
         X = rng.uniform(0.0, 1.0, (40, 40))
         (i0, j0), (i1, j1) = oc.pairs
         X[i0, j0], X[i1, j1] = 5.0, -200.0
-        proj = OrderConeProjector(oc, 40, 40)
-        assert proj.top_k == 80
-        Y = proj(X)
-        assert proj.top_k > 80
+        Y = OrderConeProjector(oc, 40, 40)(X)
         Y_ref, _, _ = full_sort_projection(X, oc)
         assert np.array_equal(Y, Y_ref)
         assert kkt_verify(X, Y, oc, tol=1e-8).ok
@@ -367,8 +357,7 @@ class TestProjectC2:
     @pytest.mark.parametrize("m, n", [(64, 64), (30, 150)])
     def test_kkt_system_at_size(self, m, n):
         # chain values decreasing upward, so every slot merges into the
-        # bottom block, through the top-K prefix or, once the merges pool
-        # more cells than that, the whole sorted tail
+        # bottom block
         rng = np.random.default_rng(17)
         for trial in range(12):
             k = int(rng.integers(2, 9))
@@ -381,8 +370,8 @@ class TestProjectC2:
                 X[i, j] = v
             proj = OrderConeProjector(oc, m, n)
             Y = proj(X)
-            x = X.ravel()
-            ev = ThresholdEvaluator.from_values(chain[0], x[proj.tail_flat], proj.top_k)
+            tail = X.ravel()[proj.tail_flat]
+            ev = ThresholdEvaluator.from_values(chain[0], tail[tail > 0.0])
             assert epava_blocks(chain, ev).B == 1
             assert kkt_verify(X, Y, oc, tol=1e-8).ok
 
@@ -450,16 +439,13 @@ class TestProjectC2:
 
     def test_block_partition_invariants(self):
         rng = np.random.default_rng(19)
-        # 40 small complete tails, then one 64x64 tail through a truncated
-        # top-K evaluator, whose pooled count must stay inside its prefix
-        shapes = [(5, 6, None)] * 40 + [(64, 64, 128)]
-        for m, n, top_k in shapes:
+        # 40 small tails, then one 64x64 tail
+        for m, n in [(5, 6)] * 40 + [(64, 64)]:
             k = int(rng.integers(2, 6))
             oc = random_variates(rng, m, n, k)
             X = rng.uniform(-1, 1, (m, n))
             chain = np.array([X[i, j] for i, j in oc.pairs])
-            ev = ThresholdEvaluator.from_values(chain[0], X[oc.tail_mask(m, n)], top_k=top_k)
-            assert ev.complete == (top_k is None)
+            ev = ThresholdEvaluator.from_values(chain[0], X[oc.tail_mask(m, n)])
             blocks = epava_blocks(chain, ev)
             assert isinstance(blocks, BlockPartition)
             assert blocks.le[0] == 0
@@ -471,69 +457,76 @@ class TestProjectC2:
             assert blocks.val[0] == threshold_T(ev, blocks.eta_tilde)[0]
 
 
-class TestPrefixPath:
-    """The top-K prefix evaluator against the full-sort reference, bit for bit."""
+def sink_bottom(rng, X, oc):
+    """X with its bottom chain cell at or below zero, near minus the positive
+    tail mass, so the bottom block's value T often clamps to 0 and tail cells
+    <= 0 would pool into it under the whole ranked tail."""
+    X = X.copy()
+    i, j = oc.pairs[0]
+    mass = float(np.clip(X[oc.tail_mask(*X.shape)], 0.0, None).sum())
+    X[i, j] = -float(rng.uniform(0.5, 1.5)) * mass
+    return X
+
+
+class TestPositiveTail:
+    """The positive-cell evaluator against the full-sort reference, bit for bit."""
 
     def check(self, X, oc):
         m, n = X.shape
         proj = OrderConeProjector(oc, m, n)
         Y = proj(X)
-        Y_ref, Tt_ref, eta = full_sort_projection(X, oc)
+        Y_ref, Tt_ref, _ = full_sort_projection(X, oc)
         assert np.array_equal(Y, Y_ref)
         x = X.ravel()
-        args = (x[proj.chain_flat[0]], x[proj.tail_flat])
-        ev = ThresholdEvaluator.from_values(*args, proj.top_k)
-        ref = full_sort_evaluator(*args)
+        x_top, tail = x[proj.chain_flat[0]], x[proj.tail_flat]
+        ev = ThresholdEvaluator.from_values(x_top, tail[tail > 0.0])
+        ref = full_sort_evaluator(x_top, tail)
         R = ev.sorted_tail.size
         assert np.array_equal(ev.sorted_tail, ref.sorted_tail[:R])
         assert np.array_equal(ev.prefix_sums, ref.prefix_sums[: R + 1])
         assert np.array_equal(ev.breakpoints, ref.breakpoints[:R])
-        assert threshold_T(ev, eta) == Tt_ref
-        return proj
-
-    def prefix_taken(self, X, oc):
-        m, n = X.shape
-        x = X.ravel()
-        tail_flat = np.flatnonzero(oc.tail_mask(m, n).ravel())
-        x_top = x[oc.pairs[0][0] * n + oc.pairs[0][1]]
-        return not ThresholdEvaluator.from_values(x_top, x[tail_flat], m + n).complete
+        T, t = threshold_T(ev, epava_blocks(x[proj.chain_flat], ev).eta_tilde)
+        if Tt_ref[0] == 0.0:  # cells <= 0 may pool under the whole tail; the clip zeroes them
+            assert T == 0.0
+            return False
+        assert (T, t) == Tt_ref
+        return True
 
     @pytest.mark.parametrize("m, n", [(64, 64), (30, 150)])
     def test_matches_full_sort(self, m, n):
         rng = np.random.default_rng(31)
+        clamped = 0
         for _ in range(15):
             oc = random_variates(rng, m, n, int(rng.integers(1, 9)))
             X = rng.uniform(-1.0, 1.0, (m, n))
-            assert self.prefix_taken(X, oc)
-            self.check(X, oc)
+            assert self.check(X, oc)
+            clamped += not self.check(sink_bottom(rng, X, oc), oc)
+        assert 0 < clamped < 15
 
     @pytest.mark.parametrize("m, n", [(64, 64), (30, 150)])
     def test_heavy_ties(self, m, n):
+        # rounding to 0.01, then to 0.1: exact (and negative) zeros in the tail
         rng = np.random.default_rng(32)
+        clamped = 0
         for _ in range(15):
             oc = random_variates(rng, m, n, int(rng.integers(1, 9)))
-            X = np.round(rng.uniform(-1.0, 1.0, (m, n)), 2)
-            assert self.prefix_taken(X, oc)
-            self.check(X, oc)
+            X = rng.uniform(-1.0, 1.0, (m, n))
+            assert self.check(np.round(X, 2), oc)
+            coarse = np.round(X, 1)
+            self.check(coarse, oc)
+            clamped += not self.check(sink_bottom(rng, coarse, oc), oc)
+        assert 0 < clamped < 15
 
-    def test_prefix_doubles(self):
+    def test_bottom_cell_below_the_tail(self):
         # a bottom chain cell far below most of the tail pools a few hundred
-        # tail cells, more than the first m + n of the prefix
+        # tail cells, more than m + n
         rng = np.random.default_rng(33)
         for k in (1, 1, 2, 3, 4):
             oc = random_variates(rng, 64, 64, k)
             X = rng.uniform(0.0, 1.0, (64, 64))
             i, j = oc.pairs[0]
             X[i, j] = -5.0
-            proj = self.check(X, oc)
-            assert proj.top_k > 128
-
-    def test_truncated_lookup_refuses_prefix_end(self):
-        ev = ThresholdEvaluator.from_values(2000.0, np.arange(1000.0), top_k=10)
-        assert not ev.complete and ev.sorted_tail.size == 11
-        assert threshold_T(ev, 0.0)[1] < 11
-        with pytest.raises(PrefixExhausted):
-            threshold_T(ev, 1e9)
+            self.check(X, oc)
 
 
 class TestProjectorBuffers:
@@ -558,8 +551,8 @@ class TestProjectorBuffers:
 class TestComplexity:
     def test_tail_sort_is_one_time(self):
         # ranking happens once, at construction: the evaluator exposes prefix
-        # sums sized with the ranked cells (the whole tail here; only the top
-        # top_k + 1 on a long tail, see TestPrefixPath), so
+        # sums sized with the ranked cells (the whole tail here; only its
+        # positive cells in the projector, see TestPositiveTail), so
         # threshold lookups after construction are bisections
         ev = ThresholdEvaluator.from_values(0.0, np.arange(100.0))
         assert ev.prefix_sums.size == 101
