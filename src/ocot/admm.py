@@ -3,8 +3,11 @@
 Each round projects onto the marginal set, then onto the order cone, then
 takes the scaled dual step with the fresh iterates. Every X iterate carries
 exact marginals and every Z iterate satisfies the ordering exactly, so the
-primal residual ||X - Z|| is the whole feasibility story; no rounding step
-onto the intersection exists for this constraint family.
+primal residual ||X - Z|| measures how far apart the two sets leave them.
+Once that residual is small, ``projections.polish`` solves for a plan in
+both sets on the active set of Z. Its cost is an upper bound on the optimum
+and ``certified_lower_bound`` a lower one, so a solve can stop with its
+distance from the optimum known.
 """
 
 from __future__ import annotations
@@ -17,13 +20,17 @@ import numpy as np
 
 from .core import OrderedVariates, Problem, TransportPlan, objective
 from .errors import InvalidConfig, ShapeMismatch
-from .projections import OrderConeProjector, project_marginals
+from .projections import OrderConeProjector, polish, project_marginals
 
 DEFAULT_RHO = 3.0  # chosen by a sweep over 1, 2, 3, 5 and 8 on the benchmark's workloads (README)
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-4
-CERT_PERIOD = 16  # rounds between bound evaluations in a solve with a cutoff
+CERT_PERIOD = 16  # rounds between bound evaluations, and between polishes
 CUTOFF_MARGIN = 1e-3  # relative slack above the cutoff before a solve stops
+POLISH_RESIDUAL = 10.0  # polish once the primal residual is within this many tol
+POLISH_WIDTH = 1e-3  # active-set width of the polish, relative to max Z
+GAP = 1e-3  # relative gap between the bounds that ends a solve
+GAP_FLOOR = 1e-9  # least scale of that gap, relative to max D times the mass
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,8 @@ class SolverTrace:
     """Per-iteration objective and residual history, the stop reason
     (``tol``, ``max_iters`` or ``dominated``), the certified lower bound
     on the LP optimum at the last iterate and the final scaled dual M, which
-    with the plan's Z can start another solve."""
+    with the plan's Z can start another solve. ``upper_bound`` is the cost of
+    the polished plan when the solve stopped on a certified gap, else None."""
 
     objectives: np.ndarray
     primal: np.ndarray
@@ -54,6 +62,7 @@ class SolverTrace:
     termination: str
     lower_bound: float
     scaled_dual: np.ndarray
+    upper_bound: float | None = None
 
 
 def certified_lower_bound(
@@ -94,25 +103,35 @@ def solve(
     cutoff: float | None = None,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[TransportPlan, SolverTrace]:
-    """Run the splitting from ``start = (Z, M)`` until both residuals clear ``cfg.tol``.
+    """Run the splitting from ``start = (Z, M)`` until the optimum is certified
+    within ``GAP`` or both residuals clear ``cfg.tol``.
 
     Without a start the splitting begins at Z = M = 0. ADMM converges from
     any starting point (Boyd et al. 2011, section 3.2), so a start changes
-    how many rounds a solve takes and where within ``tol`` it stops, not
-    what it converges to. ``start`` is copied, never mutated, and may come
-    from a solve of another constraint set, as the search takes it from a
-    parent node's final Z and scaled dual.
+    how many rounds a solve takes and where it stops, not what it converges
+    to. ``start`` is copied, never mutated, and may come from a solve of
+    another constraint set, as the search takes it from a parent node's
+    final Z and scaled dual.
+
+    On the first round whose primal residual is within ``POLISH_RESIDUAL``
+    times ``tol``, and then at most once every ``CERT_PERIOD`` rounds while
+    it stays there, Z is polished to a feasible plan. Its cost UB bounds the
+    optimum from above, and the certified lower bound LB from below; once
+    UB - LB <= GAP * max(|LB|, GAP_FLOOR * max D * mass) the solve ends on
+    ``tol`` and returns the polished plan X with Z = its order-cone
+    projection, and the trace carries UB as ``upper_bound``. Otherwise the
+    solve ends on ``tol`` when both residuals clear ``cfg.tol`` and returns
+    the last X with its order-feasible twin Z.
 
     Hitting the iteration cap is not an error: the trace reports
     ``termination == "max_iters"`` with the final residuals, which is the
     documented diagnostic for (possibly) infeasible constraint sets. With a
     ``cutoff``, every ``CERT_PERIOD`` rounds the certified lower bound is
     evaluated, and the solve ends with ``termination == "dominated"`` once it
-    exceeds ``stop_above(cutoff)``: the optimum is then proven
-    above the cutoff. Without one, the rounds are exactly those of a plain
-    solve. The returned plan is the last X with its order-feasible twin Z
-    attached; the trace carries the bound and the scaled dual M at the last
-    iterate.
+    exceeds ``stop_above(cutoff)``: the optimum is then proven above the
+    cutoff. Without one, the rounds are exactly those of a solve with an
+    infinite cutoff. The trace carries the lower bound and the scaled dual M
+    at the last iterate.
     """
     oc = oc if oc is not None else OrderedVariates()
     cfg = cfg if cfg is not None else SolverConfig()
@@ -140,9 +159,13 @@ def solve(
     objs: list[float] = []
     primals: list[float] = []
     duals: list[float] = []
+    polish_below = POLISH_RESIDUAL * tol
+    gap_floor = GAP_FLOOR * float(D.max()) * float(a.sum())
+    polished_at = -CERT_PERIOD  # the round of the last polish
+    upper = None  # the polished plan's cost, once a gap is certified
 
     termination = "max_iters"
-    for _ in range(cfg.max_iters):
+    for rounds in range(1, cfg.max_iters + 1):
         # marginal projection of Z - M - D/rho
         np.subtract(Z, M, out=W)
         W -= D_over_rho
@@ -159,22 +182,33 @@ def solve(
         objs.append(float(d.dot(x)))
         primals.append(primal)
         duals.append(dual)
+        bound = None  # the certified lower bound at this round, once evaluated
+        if primal <= polish_below and rounds - polished_at >= CERT_PERIOD:
+            polished_at = rounds
+            feasible = polish(Z, a, b, cone, POLISH_WIDTH * float(Z.max()))
+            if feasible is not None:
+                bound = certified_lower_bound(problem, M, rho, cone)
+                cost = objective(problem, feasible)
+                if cost - bound <= GAP * max(abs(bound), gap_floor):
+                    X, Z, upper = feasible, cone(feasible), cost
+                    termination = "tol"
+                    break
         if primal <= tol and dual <= tol:
             termination = "tol"
             break
-        if (
-            cutoff is not None
-            and len(objs) % CERT_PERIOD == 0
-            and certified_lower_bound(problem, M, rho, cone) > stop_above(cutoff)
-        ):
-            termination = "dominated"
-            break
+        if cutoff is not None and rounds % CERT_PERIOD == 0:
+            if bound is None:
+                bound = certified_lower_bound(problem, M, rho, cone)
+            if bound > stop_above(cutoff):
+                termination = "dominated"
+                break
 
+    np.subtract(X, Z, out=W)  # the last round's primal residual, or the polished plan's
     plan = TransportPlan(
         X=X,
         Z=Z,
         objective=objective(problem, X),
-        primal_residual=primals[-1],
+        primal_residual=math.sqrt(w.dot(w)),
         dual_residual=duals[-1],
         iterations=len(objs),
     )
@@ -183,7 +217,8 @@ def solve(
         primal=np.array(primals),
         dual=np.array(duals),
         termination=termination,
-        lower_bound=certified_lower_bound(problem, M, rho, cone),
+        lower_bound=certified_lower_bound(problem, M, rho, cone) if bound is None else bound,
         scaled_dual=M,
+        upper_bound=upper,
     )
     return plan, trace

@@ -18,7 +18,15 @@ import warnings
 import numpy as np
 
 from . import bounds, oracle
-from .admm import DEFAULT_MAX_ITERS, DEFAULT_RHO, DEFAULT_TOL, SolverConfig, solve
+from .admm import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_RHO,
+    DEFAULT_TOL,
+    GAP,
+    POLISH_RESIDUAL,
+    SolverConfig,
+    solve,
+)
 from .core import OrderedVariates, Problem, validate_problem
 from .errors import (
     ConstructionError,
@@ -170,6 +178,7 @@ def cmd_solve(args) -> int:
         "dual_residual": plan.dual_residual,
         "termination": trace.termination,
         "lower_bound": trace.lower_bound,
+        "upper_bound": trace.upper_bound,
         "constraints": [list(p) for p in oc.ranked()],
     }
     if args.emit_z:
@@ -265,6 +274,7 @@ def _search_doc(result: SearchResult) -> dict:
             "objective": node.objective,
             "termination": node.termination,
             "lower_bound": node.lower_bound,
+            "upper_bound": node.upper_bound,
             "iterations": None if node.plan is None else node.plan.iterations,
             "expanded": node.expanded,
             "expand_skip_reason": node.expand_skip_reason,
@@ -391,7 +401,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
                    help=f"iteration cap (default {DEFAULT_MAX_ITERS})")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"residual threshold (default {DEFAULT_TOL:g})")
+                   help=f"a solve stops once both ADMM residuals are below TOL, or once "
+                   f"its primal residual is below {POLISH_RESIDUAL:g} TOL and a polished "
+                   f"feasible plan is certified within a relative gap of {GAP:g} "
+                   f"(default {DEFAULT_TOL:g})")
 
 
 def _add_search_flags(p: argparse.ArgumentParser, taus: tuple[float, float]) -> None:

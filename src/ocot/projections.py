@@ -6,6 +6,7 @@ work. C2 is the order cone: non-negative matrices whose constrained cells sit
 at fixed descending-rank positions above everything else (the orthant when
 there are none); its projector is an extended pool-adjacent-violators sweep
 over the chain with a threshold that pools top tail cells into its bottom.
+``polish`` solves for a plan in both sets on the active set of a C2 iterate.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 
 from .core import OrderedVariates, Problem
 from .errors import ShapeMismatch, UnequalMass
+
+POLISH_TOL = 1e-12  # how closely a polished plan must meet the marginals, order and sign
 
 
 def project_c1(problem: Problem, X: np.ndarray) -> np.ndarray:
@@ -34,22 +37,36 @@ def project_c1(problem: Problem, X: np.ndarray) -> np.ndarray:
     return project_marginals(X, problem.a, problem.b, np.empty(X.shape))
 
 
+# Read-only vectors of ones by length, made once so that the solver's
+# marginal step allocates none per round for its matrix-vector sums.
+_ONES: dict[int, np.ndarray] = {}
+
+
+def _ones(size: int) -> np.ndarray:
+    ones = _ONES.get(size)
+    if ones is None:
+        ones = np.ones(size)
+        ones.setflags(write=False)
+        _ONES[size] = ones
+    return ones
+
+
 def project_marginals(W: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Closed-form marginal projection of ``W`` written into ``out``.
 
     Corrects each row by its sum defect spread over the columns, each column
     likewise, and removes the double-counted total-mass defect, which is
     taken from the row sums and folded into the column correction: two
-    reductions and two passes over the matrix. O(mn); all sums are taken
-    before ``out`` is written, so ``out`` may be ``W``. This is the one kernel
-    behind ``project_c1`` and the solver's marginal step.
+    matrix-vector products and two passes over the matrix. O(mn); all sums
+    are taken before ``out`` is written, so ``out`` may be ``W``. This is the
+    one kernel behind ``project_c1`` and the solver's marginal step.
     """
     m, n = W.shape
     add_reduce = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
-    row_sums = add_reduce(W, axis=1)
+    row_sums = W @ _ones(n)  # a BLAS matrix-vector product beats a strided reduction
     row_defect = (a - row_sums) / n
     total_defect = (float(add_reduce(a, axis=None)) - float(add_reduce(row_sums, axis=None))) / (m * n)
-    col_defect = (b - add_reduce(W, axis=0)) / m
+    col_defect = (b - _ones(m) @ W) / m
     col_defect -= total_defect
     np.add(W, row_defect[:, None], out=out)
     out += col_defect[None, :]
@@ -246,3 +263,54 @@ def project_c2_epava(X: np.ndarray, oc: OrderedVariates) -> np.ndarray:
     if X.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got {X.ndim}-d input")
     return OrderConeProjector(oc, *X.shape)(X)
+
+
+def polish(
+    Z: np.ndarray, a: np.ndarray, b: np.ndarray, cone: OrderConeProjector, eps: float
+) -> np.ndarray | None:
+    """A plan on the active set of the order-feasible iterate ``Z``, or None.
+
+    Reads the active set off Z with width ``eps``: chain cells within eps of
+    the chain cell below them share one variable, tail cells within eps of
+    the bottom chain value join the bottom variable, every other cell above
+    eps is a free variable, and the rest are 0. The m + n marginal equations
+    in those variables are solved by least squares, since ties and the
+    redundant total-mass equation leave the system rank-deficient. The plan
+    is returned only when its marginals, order and sign all hold to
+    ``POLISH_TOL``; a wrong active set fails one of them. This is the polish
+    that OSQP runs after its ADMM rounds (Stellato et al. 2020, section 5).
+    """
+    m, n = Z.shape
+    z = Z.reshape(-1)
+    chain, tail = cone.chain_flat, cone.tail_flat
+    var = np.full(m * n, -1, dtype=np.intp)  # the variable of each cell; -1 holds 0
+    groups = 0
+    if chain.size:
+        c = z[chain]
+        var[chain] = np.concatenate(([0], np.cumsum(np.diff(c) > eps)))
+        groups = int(var[chain[-1]]) + 1
+        var[tail[z[tail] >= c[0] - eps]] = 0
+    free = np.flatnonzero((var < 0) & (z > eps))
+    var[free] = np.arange(groups, groups + free.size)
+    cells = np.flatnonzero(var >= 0)
+    v = var[cells]
+    size = groups + free.size
+    if not size:
+        return None
+    rows, cols = np.divmod(cells, n)
+    A = np.empty((m + n, size))
+    A[:m] = np.bincount(rows * size + v, minlength=m * size).reshape(m, size)
+    A[m:] = np.bincount(cols * size + v, minlength=n * size).reshape(n, size)
+    values = np.linalg.lstsq(A, np.concatenate((a, b)), rcond=None)[0]
+
+    if values.min() < -POLISH_TOL:
+        return None
+    if groups and (np.diff(values[:groups]) < -POLISH_TOL).any():
+        return None
+    if groups and free.size and values[groups:].max() > values[0] + POLISH_TOL:
+        return None
+    X = np.zeros((m, n))
+    X.reshape(-1)[cells] = values[v]
+    if np.abs(X @ _ones(n) - a).max() > POLISH_TOL or np.abs(_ones(m) @ X - b).max() > POLISH_TOL:
+        return None
+    return X

@@ -115,6 +115,7 @@ class SearchNode:
     plan: TransportPlan | None = None
     termination: str | None = None  # the solve's stop reason; None when not solved
     lower_bound: float | None = None  # the solve's certified bound; None when not solved
+    upper_bound: float | None = None  # the polished plan's cost; None unless the gap was certified
     expanded: bool = False
     # depth | no-improvement | not-solved | not-converged | dominated
     expand_skip_reason: str | None = None
@@ -205,6 +206,7 @@ def branch_and_bound(
         node.plan = plan
         node.termination = solver_trace.termination
         node.lower_bound = solver_trace.lower_bound
+        node.upper_bound = solver_trace.upper_bound
         if node.termination != "tol":
             return False
         parent_objective = None if node.parent_id is None else trace[node.parent_id].objective

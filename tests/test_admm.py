@@ -5,10 +5,11 @@ import pytest
 
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, SolverConfig, check_membership, solve, validate_problem
-from ocot.admm import CERT_PERIOD, CUTOFF_MARGIN, certified_lower_bound
+import ocot.admm
+from ocot.admm import CERT_PERIOD, CUTOFF_MARGIN, GAP, POLISH_WIDTH, certified_lower_bound
 from ocot.errors import Infeasible, InvalidConfig, ShapeMismatch
 from ocot.oracle import lp_solve_oc
-from ocot.projections import OrderConeProjector, project_c1, project_c2_epava
+from ocot.projections import OrderConeProjector, polish, project_c1, project_c2_epava
 
 TIGHT = SolverConfig(tol=1e-7, max_iters=30_000)
 
@@ -43,7 +44,8 @@ def feasible_at_size(rng, side, count, uniform):
 
 
 def assert_rounds_match_kernels(p, oc, cfg):
-    """``solve`` against its rounds written out from the public kernels."""
+    """``solve`` against its rounds written out from the public kernels, for
+    solves that end before a polished plan certifies their gap."""
     Z = np.zeros(p.shape)
     M = np.zeros(p.shape)
     objs, primals, duals = [], [], []
@@ -111,8 +113,9 @@ class TestSolve:
         np.testing.assert_allclose(plan.X, [[0.5, 0.0], [0.0, 0.5]], atol=1e-3)
 
     def test_forced_top_antidiagonal(self, symmetric_2x2):
-        plan, _ = solve(symmetric_2x2, OrderedVariates(((0, 1),)))
+        plan, trace = solve(symmetric_2x2, OrderedVariates(((0, 1),)))
         assert plan.objective == pytest.approx(0.5, abs=1e-3)
+        assert trace.upper_bound == plan.objective  # a certified gap stop
         np.testing.assert_allclose(plan.X, np.full((2, 2), 0.25), atol=1e-3)
 
     def test_random_vs_lp_oracle(self):
@@ -149,6 +152,7 @@ class TestSolve:
         assert trace.termination == "max_iters"
         assert plan.iterations == 500
         assert plan.primal_residual > 1e-3
+        assert trace.upper_bound is None
 
     def test_one_step_runs_the_public_kernels(self):
         # from Z = M = 0 the first X is the marginal projection of -D/rho and
@@ -191,6 +195,7 @@ class TestSolve:
         opt, _ = lp_solve_oc(p, oc)
         plan, trace = solve(p, oc, SolverConfig(tol=1e-8), cutoff=0.9 * opt)
         assert trace.termination == "dominated"
+        assert trace.upper_bound is None
         assert plan.iterations % CERT_PERIOD == 0
         assert 0.9 * opt * (1.0 + CUTOFF_MARGIN) < trace.lower_bound <= opt * (1.0 + 1e-9)
         full, _ = solve(p, oc, SolverConfig(tol=1e-8))
@@ -201,6 +206,68 @@ class TestSolve:
         assert plan.iterations == trace.objectives.size == trace.primal.size == trace.dual.size
         assert np.all(trace.primal >= 0.0) and np.all(trace.dual >= 0.0)
 
+
+def dirichlet_chains(seeds, side=6, k=3):
+    """(problem, chain) on side x side grids with Dirichlet(2) marginals, one per seed."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        a, b = rng.dirichlet(np.full(side, 2.0)), rng.dirichlet(np.full(side, 2.0))
+        yield validate_problem(a, b, rng.random((side, side))), random_variates(rng, side, side, k)
+
+
+class TestGapStop:
+    def test_gap_stopped_plans_are_certified_against_highs(self):
+        # the polished plan is feasible, so its cost bounds the optimum from
+        # above, as the certified bound does from below, within GAP
+        rng = np.random.default_rng(2020)
+        stopped = total = 0
+        for side in (5, 8, 16, 32, 64):
+            for uniform in (True, False):
+                for p, oc, opt in feasible_at_size(rng, side, 2, uniform):
+                    plan, trace = solve(p, oc, SolverConfig(max_iters=3000))
+                    total += 1
+                    if trace.upper_bound is None:
+                        continue
+                    stopped += 1
+                    slack = 1e-9 * max(abs(opt), 1e-12)
+                    assert trace.termination == "tol"
+                    assert trace.lower_bound <= opt + slack
+                    assert opt <= trace.upper_bound + slack
+                    assert trace.upper_bound == plan.objective
+                    assert trace.upper_bound - trace.lower_bound <= GAP * abs(trace.lower_bound)
+                    assert np.abs(plan.X.sum(axis=1) - p.a).max() <= 1e-12
+                    assert np.abs(plan.X.sum(axis=0) - p.b).max() <= 1e-12
+                    assert np.array_equal(plan.Z, project_c2_epava(plan.X, oc))
+                    assert plan.primal_residual == pytest.approx(np.linalg.norm(plan.X - plan.Z), abs=1e-15)
+        assert stopped >= 0.6 * total
+
+    def test_polish_rejects_a_wrong_active_set(self):
+        # after 16 rounds Z is far from the optimum, and its active set has
+        # no plan meeting the marginals, order and sign; nor has a converged
+        # Z whose top chain cell is raised past the active-set width
+        for p, oc in dirichlet_chains(range(4)):
+            cone = OrderConeProjector(oc, *p.shape)
+            early, _ = solve(p, oc, SolverConfig(max_iters=16))
+            assert polish(early.Z, p.a, p.b, cone, POLISH_WIDTH * early.Z.max()) is None
+        for p, oc in dirichlet_chains((1, 2, 5)):
+            cone = OrderConeProjector(oc, *p.shape)
+            plan, trace = solve(p, oc)
+            assert trace.upper_bound is not None
+            Z = np.array(plan.Z)
+            eps = POLISH_WIDTH * Z.max()
+            assert polish(Z, p.a, p.b, cone, eps) is not None
+            Z[oc.pairs[-1]] += 2.0 * eps
+            assert polish(Z, p.a, p.b, cone, eps) is None
+
+    def test_without_a_certified_polish_the_rounds_are_the_plain_ones(self, monkeypatch):
+        # a polish that never certifies leaves the residual rule: the solve
+        # runs the kernels' rounds to both residuals under tol
+        monkeypatch.setattr(ocot.admm, "polish", lambda *args: None)
+        for p, oc in dirichlet_chains((1, 2, 5)):
+            plan, trace = solve(p, oc)
+            assert trace.termination == "tol" and trace.upper_bound is None
+            assert plan.primal_residual <= SolverConfig().tol
+            assert_rounds_match_kernels(p, oc, SolverConfig(max_iters=plan.iterations))
 
 class TestWarmStart:
     def test_wrong_shaped_start_raises(self, symmetric_2x2):

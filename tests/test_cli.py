@@ -45,8 +45,17 @@ class TestSolveCommand:
         doc = json.loads(out)
         assert doc["objective"] == pytest.approx(0.5, abs=1e-3)
         assert doc["constraints"] == [[0, 1]]
-        # the certified lower bound never exceeds the LP optimum of 0.5
+        # the certified lower bound never exceeds the LP optimum of 0.5, and
+        # the polished plan's cost, emitted as the upper bound, is its objective
         assert 0.5 - 1e-3 <= doc["lower_bound"] <= 0.5 + 1e-12
+        assert doc["upper_bound"] == doc["objective"]
+        assert doc["upper_bound"] - doc["lower_bound"] <= 1e-3 * doc["lower_bound"]
+
+    def test_uncertified_solve_emits_a_null_upper_bound(self, capsys):
+        code, out, _ = run(capsys, "solve", DATA / "analytic_2x2.json", "--max-iters", "1")
+        doc = json.loads(out)
+        assert code == 0 and doc["termination"] == "max_iters"
+        assert "upper_bound" in doc and doc["upper_bound"] is None
 
     def test_emit_z(self, capsys):
         code, out, _ = run(capsys, "solve", DATA / "analytic_2x2.json", "--emit-z")
@@ -265,6 +274,10 @@ class TestSearchCommand:
             else:
                 assert node["iterations"] is None
             assert (node["objective"] is not None) == (node["termination"] == "tol")
+            if node["upper_bound"] is not None:
+                assert node["termination"] == "tol"
+                assert node["lower_bound"] <= node["upper_bound"] <= node["objective"]
+        assert any(node["upper_bound"] is not None for node in solved)
 
 
 class TestBoundCommand:
