@@ -5,9 +5,11 @@ takes the scaled dual step with the fresh iterates. Every X iterate carries
 exact marginals and every Z iterate satisfies the ordering exactly, so the
 primal residual ||X - Z|| measures how far apart the two sets leave them.
 Once that residual is small, ``projections.polish`` solves for a plan in
-both sets on the active set of Z. Its cost is an upper bound on the optimum
-and ``certified_lower_bound`` a lower one, so a solve can stop with its
-distance from the optimum known.
+both sets on the active set of Z, and for potentials that meet its
+complementary-slackness equations. The plan's cost is an upper bound on the
+optimum and the weak-duality bound at those potentials a lower one, so a
+solve can stop with its distance from the optimum known; at an optimal
+active set the two meet.
 """
 
 from __future__ import annotations
@@ -65,30 +67,48 @@ class SolverTrace:
     upper_bound: float | None = None
 
 
-def certified_lower_bound(
-    problem: Problem, M: np.ndarray, rho: float, cone: OrderConeProjector
-) -> float:
-    """Weak-duality lower bound on the order-constrained LP optimum.
+def fitted_potentials(D: np.ndarray, M: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Potentials (u, v) whose u(+)v is the least-squares fit to D + rho * M.
+
+    rho * M is the solver's estimate of the order-cone multiplier, so D + rho
+    * M estimates u(+)v (Boyd et al. 2011, section 3.3) and the fit closes on
+    the optimal potentials as the solve converges.
+    """
+    G = D + rho * M
+    u = G.mean(axis=1)
+    return u, (G - u[:, None]).mean(axis=0)
+
+
+def bound_at(problem: Problem, cone: OrderConeProjector, u: np.ndarray, v: np.ndarray) -> float:
+    """Weak-duality lower bound on the order-constrained LP optimum at (u, v).
 
     For any potentials u, v the optimum is at least a.u + b.v + mass * m(C),
     with C = D - u(+)v and m(C) the least mean of C over the generators of
     the order cone: the up-sets of the chain. Those are the top j chain
     cells (j = 1..k) and the whole chain plus the j cheapest tail cells, so
     m(C) is the least prefix mean of one ranked vector, the chain top first
-    and then the sorted tail; with k = 0 that is the least single cell. u and
-    v are the least-squares fit of u(+)v to D + rho * M, where M is the
-    solver's scaled dual, so the bound closes on the optimum as the solve
-    converges (Boyd et al. 2011, section 3.3). An LP-infeasible chain has
-    optimum +inf, so any value bounds it.
+    and then the sorted tail; with k = 0 that is the least single cell. An
+    LP-infeasible chain has optimum +inf, so any value bounds it.
     """
-    D = problem.D
-    G = D + rho * M
-    u = G.mean(axis=1)
-    v = (G - u[:, None]).mean(axis=0)
-    c = (D - u[:, None] - v).reshape(-1)
+    c = (problem.D - u[:, None] - v).reshape(-1)
     ranked = np.concatenate([c[cone.chain_flat[::-1]], np.sort(c[cone.tail_flat])])
     least = (ranked.cumsum() / np.arange(1.0, ranked.size + 1.0)).min()
     return float(problem.a.dot(u) + problem.b.dot(v) + problem.a.sum() * least)
+
+
+def certified_lower_bound(
+    problem: Problem, M: np.ndarray, rho: float, cone: OrderConeProjector
+) -> float:
+    """``bound_at`` the ``fitted_potentials`` of the scaled dual M.
+
+    This is the bound a solve reports when it did not certify its gap, and
+    the one the ``dominated`` cutoff tests between polishes. It closes on the
+    optimum as the solve converges, but only as fast as the fit does; at a
+    polish, ``solve`` also takes the bound at the polished plan's potentials
+    (see ``projections.polish``), which meets the optimum at an optimal
+    active set once the fit is near a dual optimum.
+    """
+    return bound_at(problem, cone, *fitted_potentials(problem.D, M, rho))
 
 
 def stop_above(cutoff: float) -> float:
@@ -116,12 +136,19 @@ def solve(
     On the first round whose primal residual is within ``POLISH_RESIDUAL``
     times ``tol``, and then at most once every ``CERT_PERIOD`` rounds while
     it stays there, Z is polished to a feasible plan. Its cost UB bounds the
-    optimum from above, and the certified lower bound LB from below; once
+    optimum from above. LB, the larger of ``bound_at`` the potentials fitted
+    to M and at the polished potentials, bounds it from below. The polished
+    potentials are the solution of the plan's complementary-slackness
+    equations nearest the fitted ones, so at an optimal active set, once the
+    fit is near a dual optimum, they are dual optimal and LB = UB up to
+    rounding: a solve ends at its first optimal polish, not once the fit
+    itself has caught up. Once
     UB - LB <= GAP * max(|LB|, GAP_FLOOR * max D * mass) the solve ends on
     ``tol`` and returns the polished plan X with Z = its order-cone
-    projection, and the trace carries UB as ``upper_bound``. Otherwise the
-    solve ends on ``tol`` when both residuals clear ``cfg.tol`` and returns
-    the last X with its order-feasible twin Z.
+    projection; the trace carries UB as ``upper_bound`` and min(LB, UB) as
+    ``lower_bound``, since rounding can lift an exact LB above UB >= OPT.
+    Otherwise the solve ends on ``tol`` when both residuals clear
+    ``cfg.tol`` and returns the last X with its order-feasible twin Z.
 
     Hitting the iteration cap is not an error: the trace reports
     ``termination == "max_iters"`` with the final residuals, which is the
@@ -129,9 +156,10 @@ def solve(
     ``cutoff``, every ``CERT_PERIOD`` rounds the certified lower bound is
     evaluated, and the solve ends with ``termination == "dominated"`` once it
     exceeds ``stop_above(cutoff)``: the optimum is then proven above the
-    cutoff. Without one, the rounds are exactly those of a solve with an
-    infinite cutoff. The trace carries the lower bound and the scaled dual M
-    at the last iterate.
+    cutoff. That round's LB is the polish's when one was accepted there, and
+    ``certified_lower_bound`` otherwise. Without a cutoff, the rounds are
+    exactly those of a solve with an infinite cutoff. The trace carries the
+    lower bound and the scaled dual M at the last iterate.
     """
     oc = oc if oc is not None else OrderedVariates()
     cfg = cfg if cfg is not None else SolverConfig()
@@ -185,12 +213,17 @@ def solve(
         bound = None  # the certified lower bound at this round, once evaluated
         if primal <= polish_below and rounds - polished_at >= CERT_PERIOD:
             polished_at = rounds
-            feasible = polish(Z, a, b, cone, POLISH_WIDTH * float(Z.max()))
-            if feasible is not None:
-                bound = certified_lower_bound(problem, M, rho, cone)
+            u, v = fitted_potentials(D, M, rho)
+            polished = polish(Z, a, b, cone, POLISH_WIDTH * float(Z.max()), D, (u, v))
+            if polished is not None:
+                feasible, dual_u, dual_v = polished
+                bound = max(bound_at(problem, cone, u, v), bound_at(problem, cone, dual_u, dual_v))
                 cost = objective(problem, feasible)
                 if cost - bound <= GAP * max(abs(bound), gap_floor):
                     X, Z, upper = feasible, cone(feasible), cost
+                    # at an optimal active set the bound is exact, and
+                    # rounding can lift it a few ulps above UB >= OPT
+                    bound = min(bound, cost)
                     termination = "tol"
                     break
         if primal <= tol and dual <= tol:

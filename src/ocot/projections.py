@@ -266,19 +266,36 @@ def project_c2_epava(X: np.ndarray, oc: OrderedVariates) -> np.ndarray:
 
 
 def polish(
-    Z: np.ndarray, a: np.ndarray, b: np.ndarray, cone: OrderConeProjector, eps: float
-) -> np.ndarray | None:
-    """A plan on the active set of the order-feasible iterate ``Z``, or None.
+    Z: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    cone: OrderConeProjector,
+    eps: float,
+    D: np.ndarray,
+    potentials: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A plan on the active set of the order-feasible iterate ``Z`` and
+    potentials for it, as ``(X, u, v)``, or None.
 
     Reads the active set off Z with width ``eps``: chain cells within eps of
     the chain cell below them share one variable, tail cells within eps of
     the bottom chain value join the bottom variable, every other cell above
-    eps is a free variable, and the rest are 0. The m + n marginal equations
-    in those variables are solved by least squares, since ties and the
-    redundant total-mass equation leave the system rank-deficient. The plan
-    is returned only when its marginals, order and sign all hold to
-    ``POLISH_TOL``; a wrong active set fails one of them. This is the polish
-    that OSQP runs after its ADMM rounds (Stellato et al. 2020, section 5).
+    eps is a free variable, and the rest are 0. With A the map from those
+    variables to the m + n marginals, the plan solves A x = (a, b) by least
+    squares, since ties and the redundant total-mass equation leave A
+    rank-deficient. The plan is returned only when its marginals, order and
+    sign all hold to ``POLISH_TOL``; a wrong active set fails one of them.
+    This is the polish that OSQP runs after its ADMM rounds (Stellato et al.
+    2020, section 5), which also solves for the dual.
+
+    The dual half: (u, v) solve A^T (u, v) = c, with c each variable's cost
+    D summed over its cells, i.e. D - u(+)v sums to 0 over every variable;
+    these are the complementary-slackness equations of the plan. Degenerate
+    active sets leave that system underdetermined, so (u, v) is the solution
+    nearest the given ``potentials`` y0 = (u0, v0): y0 + A^+T (c - A^T y0),
+    the correction being the least-norm least-squares solution of the
+    transposed system (least-squares when it is inconsistent). Only an
+    accepted plan pays for that second solve; most polishes are rejected.
     """
     m, n = Z.shape
     z = Z.reshape(-1)
@@ -313,4 +330,8 @@ def polish(
     X.reshape(-1)[cells] = values[v]
     if np.abs(X @ _ones(n) - a).max() > POLISH_TOL or np.abs(_ones(m) @ X - b).max() > POLISH_TOL:
         return None
-    return X
+
+    y0 = np.concatenate(potentials)
+    defect = np.bincount(v, weights=D.reshape(-1)[cells], minlength=size) - A.T @ y0
+    y = y0 + np.linalg.lstsq(A.T, defect, rcond=None)[0]
+    return X, y[:m], y[m:]

@@ -6,12 +6,15 @@ import pytest
 from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, SolverConfig, check_membership, solve, validate_problem
 import ocot.admm
-from ocot.admm import CERT_PERIOD, CUTOFF_MARGIN, GAP, POLISH_WIDTH, certified_lower_bound
+from ocot.admm import (
+    CERT_PERIOD, CUTOFF_MARGIN, GAP, POLISH_WIDTH, bound_at, certified_lower_bound, fitted_potentials,
+)
 from ocot.errors import Infeasible, InvalidConfig, ShapeMismatch
 from ocot.oracle import lp_solve_oc
 from ocot.projections import OrderConeProjector, polish, project_c1, project_c2_epava
 
 TIGHT = SolverConfig(tol=1e-7, max_iters=30_000)
+SMALL = range(3, 9)  # sides of the small random instances
 
 
 def small_instances(rng, count=50):
@@ -26,16 +29,22 @@ def small_instances(rng, count=50):
 
 
 def feasible_at_size(rng, side, count, uniform):
-    """``count`` (problem, chain, LP optimum) on side x side grids with k in
-    0-4, Dirichlet(2) or uniform marginals; LP-infeasible draws are skipped."""
+    """``count`` (problem, chain, LP optimum) on side x side grids, or on
+    m x n grids with m and n drawn from ``side`` when it is a range, with k
+    in 0-4 (at most min(m, n)), Dirichlet(2) or uniform marginals;
+    LP-infeasible draws are skipped."""
     found = []
     while len(found) < count:
-        if uniform:
-            a = b = np.full(side, 1.0 / side)
+        if isinstance(side, range):
+            m, n = (int(rng.integers(side.start, side.stop)) for _ in range(2))
         else:
-            a, b = rng.dirichlet(np.full(side, 2.0)), rng.dirichlet(np.full(side, 2.0))
-        p = validate_problem(a, b, rng.random((side, side)))
-        oc = random_variates(rng, side, side, int(rng.integers(0, 5)))
+            m = n = side
+        if uniform:
+            a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        else:
+            a, b = rng.dirichlet(np.full(m, 2.0)), rng.dirichlet(np.full(n, 2.0))
+        p = validate_problem(a, b, rng.random((m, n)))
+        oc = random_variates(rng, m, n, min(int(rng.integers(0, 5)), m, n))
         try:
             found.append((p, oc, lp_solve_oc(p, oc)[0]))
         except Infeasible:
@@ -44,8 +53,13 @@ def feasible_at_size(rng, side, count, uniform):
 
 
 def assert_rounds_match_kernels(p, oc, cfg):
-    """``solve`` against its rounds written out from the public kernels, for
-    solves that end before a polished plan certifies their gap."""
+    """``solve`` against its rounds written out from the public kernels.
+
+    The written-out rounds end on the residual rule only, so the plan is
+    compared bit for bit with the polish switched off, as for a solve that
+    ends before a polished plan certifies its gap. With the polish on, a
+    solve may certify sooner, and its trace is then the first rounds of the
+    written-out ones."""
     Z = np.zeros(p.shape)
     M = np.zeros(p.shape)
     objs, primals, duals = [], [], []
@@ -60,6 +74,14 @@ def assert_rounds_match_kernels(p, oc, cfg):
         if primals[-1] <= cfg.tol and duals[-1] <= cfg.tol:
             break
     plan, trace = solve(p, oc, cfg)
+    rounds = plan.iterations
+    assert rounds <= len(objs)
+    assert np.array_equal(trace.objectives, objs[:rounds])
+    assert np.array_equal(trace.primal, primals[:rounds])
+    assert np.array_equal(trace.dual, duals[:rounds])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ocot.admm, "polish", lambda *args: None)
+        plan, trace = solve(p, oc, cfg)
     assert np.array_equal(plan.X, X)
     assert np.array_equal(plan.Z, Z)
     assert np.array_equal(trace.objectives, objs)
@@ -215,6 +237,11 @@ def dirichlet_chains(seeds, side=6, k=3):
         yield validate_problem(a, b, rng.random((side, side))), random_variates(rng, side, side, k)
 
 
+def polish_at(p, cone, Z, M, rho=SolverConfig().rho):
+    """``polish`` of Z as the solver runs it, from the potentials fitted to M."""
+    return polish(Z, p.a, p.b, cone, POLISH_WIDTH * Z.max(), p.D, fitted_potentials(p.D, M, rho))
+
+
 class TestGapStop:
     def test_gap_stopped_plans_are_certified_against_highs(self):
         # the polished plan is feasible, so its cost bounds the optimum from
@@ -247,17 +274,16 @@ class TestGapStop:
         # Z whose top chain cell is raised past the active-set width
         for p, oc in dirichlet_chains(range(4)):
             cone = OrderConeProjector(oc, *p.shape)
-            early, _ = solve(p, oc, SolverConfig(max_iters=16))
-            assert polish(early.Z, p.a, p.b, cone, POLISH_WIDTH * early.Z.max()) is None
+            early, trace = solve(p, oc, SolverConfig(max_iters=16))
+            assert polish_at(p, cone, early.Z, trace.scaled_dual) is None
         for p, oc in dirichlet_chains((1, 2, 5)):
             cone = OrderConeProjector(oc, *p.shape)
             plan, trace = solve(p, oc)
             assert trace.upper_bound is not None
             Z = np.array(plan.Z)
-            eps = POLISH_WIDTH * Z.max()
-            assert polish(Z, p.a, p.b, cone, eps) is not None
-            Z[oc.pairs[-1]] += 2.0 * eps
-            assert polish(Z, p.a, p.b, cone, eps) is None
+            assert polish_at(p, cone, Z, trace.scaled_dual) is not None
+            Z[oc.pairs[-1]] += 2.0 * POLISH_WIDTH * Z.max()
+            assert polish_at(p, cone, Z, trace.scaled_dual) is None
 
     def test_without_a_certified_polish_the_rounds_are_the_plain_ones(self, monkeypatch):
         # a polish that never certifies leaves the residual rule: the solve
@@ -268,6 +294,114 @@ class TestGapStop:
             assert trace.termination == "tol" and trace.upper_bound is None
             assert plan.primal_residual <= SolverConfig().tol
             assert_rounds_match_kernels(p, oc, SolverConfig(max_iters=plan.iterations))
+
+class TestDualPolish:
+    def test_bound_at_the_polished_potentials_is_below_the_optimum(self):
+        # weak duality holds at any potentials, the polished ones included,
+        # at every stage of a solve; a converged polish reaches the optimum
+        rng = np.random.default_rng(2024)
+        polished = exact = 0
+        for uniform in (False, True):
+            for p, oc, opt in feasible_at_size(rng, SMALL, 60, uniform):
+                cone = OrderConeProjector(oc, *p.shape)
+                ceiling = opt + 1e-9 * max(abs(opt), 1e-12)
+                for cfg in (*(SolverConfig(max_iters=it) for it in (16, 64, 200)), SolverConfig()):
+                    plan, trace = solve(p, oc, cfg)
+                    assert trace.lower_bound <= ceiling
+                    found = polish_at(p, cone, plan.Z, trace.scaled_dual)
+                    if found is None:
+                        continue
+                    X, u, v = found
+                    polished += 1
+                    bound = bound_at(p, cone, u, v)
+                    assert bound <= ceiling
+                    exact += opt - bound <= 1e-9 * max(abs(opt), 1e-12)
+        assert polished >= 200 and exact >= 100
+
+    def test_polished_potentials_are_nearest_the_fitted_ones(self):
+        # (u, v) solve the complementary-slackness equations of the polished
+        # plan, so a.u + b.v is its cost. Shifting u up and v down by the same
+        # t leaves every u_i + v_j, so it moves the point of that solution set
+        # nearest the fitted potentials by the same shift; a least-norm
+        # solution that ignored them would not move.
+        rng = np.random.default_rng(77)
+        for uniform in (False, True):
+            for p, oc, _ in feasible_at_size(rng, SMALL, 20, uniform):
+                cone = OrderConeProjector(oc, *p.shape)
+                plan, trace = solve(p, oc)
+                if trace.upper_bound is None:
+                    continue
+                fitted = fitted_potentials(p.D, trace.scaled_dual, SolverConfig().rho)
+                eps = POLISH_WIDTH * plan.Z.max()
+                found = polish(plan.Z, p.a, p.b, cone, eps, p.D, fitted)
+                assert found is not None
+                X, u, v = found
+                cost = float(np.vdot(p.D, X))
+                assert p.a @ u + p.b @ v == pytest.approx(cost, rel=1e-12, abs=1e-15)
+                t = 0.25
+                shifted = polish(plan.Z, p.a, p.b, cone, eps, p.D, (fitted[0] + t, fitted[1] - t))
+                assert np.array_equal(shifted[0], X)
+                np.testing.assert_allclose(shifted[1], u + t, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(shifted[2], v - t, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_a_solve_certifies_at_its_first_optimal_polish(self, monkeypatch, uniform):
+        # at an optimal active set the polished potentials are dual optimal,
+        # so the bound meets the polished cost and the solve stops there;
+        # earlier accepted polishes are feasible plans above the optimum.
+        # Uniform marginals make the active sets degenerate, and there the
+        # potentials must be the ones nearest the fitted, not any solution.
+        accepted = []
+
+        def recording(*args):
+            found = polish(*args)
+            if found is not None:
+                accepted.append(found[0])
+            return found
+
+        monkeypatch.setattr(ocot.admm, "polish", recording)
+        rng = np.random.default_rng(11)
+        certified = at_first = 0
+        for p, oc, opt in feasible_at_size(rng, SMALL, 40, uniform):
+            accepted.clear()
+            plan, trace = solve(p, oc)
+            scale = max(abs(opt), 1e-12)
+            optimal = [i for i, X in enumerate(accepted) if np.vdot(p.D, X) - opt <= 1e-9 * scale]
+            if not optimal:
+                continue
+            assert trace.upper_bound is not None
+            assert len(accepted) == optimal[0] + 1
+            assert trace.upper_bound - trace.lower_bound <= 1e-12 * abs(trace.upper_bound)
+            certified += 1
+            at_first += len(accepted) == 1
+        assert certified >= 20 and at_first >= 0.75 * certified
+
+    def test_a_gap_stop_never_reports_lb_above_ub(self, monkeypatch):
+        # an exact bound can round a few ulps above the polished cost; UB is
+        # at least the optimum, so the reported bound is the smaller of the two
+        raw = []
+
+        def recording(*args):
+            raw.append(bound_at(*args))
+            return raw[-1]
+
+        monkeypatch.setattr(ocot.admm, "bound_at", recording)
+        rng = np.random.default_rng(12)
+        rounded = 0
+        for _ in range(60):
+            m, n = int(rng.integers(3, 9)), int(rng.integers(3, 9))
+            p = uniform_problem(rng, m, n)
+            k = int(rng.integers(0, min(m, n, 4) + 1))
+            raw.clear()
+            _, trace = solve(p, random_variates(rng, m, n, k))
+            if trace.upper_bound is None:
+                continue
+            assert trace.lower_bound <= trace.upper_bound
+            if max(raw[-2:]) > trace.upper_bound:
+                rounded += 1
+                assert trace.lower_bound == trace.upper_bound
+        assert rounded >= 5
+
 
 class TestWarmStart:
     def test_wrong_shaped_start_raises(self, symmetric_2x2):
