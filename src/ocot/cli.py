@@ -95,6 +95,11 @@ def load_problem_file(path: str) -> tuple[Problem, OrderedVariates, dict]:
     return problem, oc, doc
 
 
+def _finite_or_null(value: float | None) -> float | None:
+    """A bound as JSON, which has no Infinity: -inf (no admissible range) is null."""
+    return value if value is not None and np.isfinite(value) else None
+
+
 def _dump(doc: dict, output: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if output:
@@ -138,11 +143,6 @@ def load_segment_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     if total <= 0:
         raise WeightSumZero(f"{path}: segment weights sum to zero")
     return ids, np.array(weights) / total, np.array(colors)
-
-
-def _is_real(value) -> bool:
-    """A JSON number: int or float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_float(text: str) -> bool:
@@ -191,7 +191,7 @@ def cmd_solve(args) -> int:
 def cmd_bound(args) -> int:
     problem, oc, _ = load_problem_file(args.input)
     report = bounds.lower_bound_detail(problem, oc)
-    doc = {"bound": report.value}
+    doc = {"bound": _finite_or_null(report.value)}
     for name, branch in (("row_branch", report.row_branch), ("col_branch", report.col_branch)):
         doc[name] = (
             None
@@ -270,7 +270,7 @@ def _search_doc(result: SearchResult) -> dict:
             "phi": node.phi,
             "status": node.status,
             "prune_reason": node.prune_reason,
-            "bound": node.bound,
+            "bound": _finite_or_null(node.bound),
             "objective": node.objective,
             "termination": node.termination,
             "lower_bound": node.lower_bound,
@@ -323,10 +323,12 @@ def cmd_color_transfer(args) -> int:
             )
         return rows
 
+    termination = "tol"  # the search ranks only the solves that ended on tol
     if args.constraints:
         pairs = _load_color_constraints(args.constraints, src_ids, tgt_ids)
         oc = OrderedVariates.from_ranked(pairs)
-        plan, _ = solve(problem, oc, _solver_cfg(args))
+        plan, trace = solve(problem, oc, _solver_cfg(args))
+        termination = trace.termination
         entries = [(plan.objective, oc.ranked(), None, plan)]
     else:
         result = branch_and_bound(problem, _search_config(args), _solver_cfg(args))
@@ -335,6 +337,7 @@ def cmd_color_transfer(args) -> int:
         {
             "rank": rank,
             "objective": obj,
+            "termination": termination,
             "constraints": [[src_ids[i], tgt_ids[j]] for i, j in ranked_pairs],
             "mapping": mapping(plan.X),
         }
@@ -367,30 +370,6 @@ def cmd_oracle_lp(args) -> int:
     return 0
 
 
-def cmd_oracle_project(args) -> int:
-    doc = _load_object(args.input)
-    if "X" not in doc:
-        raise ParseError(f"{args.input}: missing required key 'X'")
-    X = doc["X"]
-    if not (
-        isinstance(X, list)
-        and X
-        and all(isinstance(row, list) and row and all(_is_real(v) for v in row) for row in X)
-        and len({len(row) for row in X}) == 1
-    ):
-        raise ParseError(f"{args.input}: X must be a non-empty list of equal-length number rows")
-    X = np.array(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ParseError(f"{args.input}: X has a non-finite entry")
-    tol = doc.get("tol", 1e-10)
-    if not (_is_real(tol) and 0 < tol < float("inf")):
-        raise ParseError(f"{args.input}: tol must be a positive number, got {tol!r}")
-    oc = _load_constraints(doc, args.input)
-    proj = oracle.pgd_project(X, oc, tol=tol)
-    _dump({"projection": proj.tolist()}, args.output)
-    return 0
-
-
 # ----------------------------------------------------------------------------
 # parser and dispatch
 
@@ -420,7 +399,9 @@ def _add_search_flags(p: argparse.ArgumentParser, taus: tuple[float, float]) -> 
     p.add_argument("--k3", type=int, default=cfg.k3,
                    help=f"maximum constraint depth (default {cfg.k3})")
     p.add_argument("--greedy", action="store_true", help="single lowest-saturation path")
-    p.add_argument("--no-prune", action="store_true", help="disable bound/parent-cost pruning")
+    p.add_argument("--no-prune", action="store_true",
+                   help="disable bound/parent-cost pruning and the certified early exit "
+                   "of solves dominated by the k2-th best plan")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,16 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the result document here instead of stdout")
     p.set_defaults(func=cmd_color_transfer)
 
-    p = sub.add_parser("oracle", help="slow, independent reference solvers")
+    p = sub.add_parser("oracle", help="exact reference optimum by HiGHS")
     osub = p.add_subparsers(dest="oracle_command", required=True)
     q = osub.add_parser("lp", help="exact LP optimum and plan by HiGHS (needs scipy)")
     q.add_argument("input", help="problem document (JSON)")
     q.add_argument("--output")
     q.set_defaults(func=cmd_oracle_lp)
-    q = osub.add_parser("project", help="order-cone projection by cyclic corrections")
-    q.add_argument("input", help="JSON document with keys X and constraints")
-    q.add_argument("--output")
-    q.set_defaults(func=cmd_oracle_project)
 
     return parser
 

@@ -303,7 +303,11 @@ def feasible_point(problem: Problem, oc: OrderedVariates, c) -> np.ndarray:
 def check_membership(
     problem: Problem, oc: OrderedVariates, X: np.ndarray, tol: float = 1e-12
 ) -> MembershipReport:
-    """Measure how far X is from the constrained polytope; never raises."""
+    """Measure how far X is from the constrained polytope.
+
+    A plan outside the polytope is reported, not raised. Raises ShapeMismatch
+    when X is not of the problem's shape or the chain leaves the plan.
+    """
     X = np.asarray(X, dtype=float)
     if X.shape != problem.shape:
         raise ShapeMismatch(f"plan has shape {X.shape}, expected {problem.shape}")

@@ -71,7 +71,3 @@ class NumericalUnderflow(OcotError):
 
 class Infeasible(ConstructionError):
     """A packing instance or LP has no feasible point."""
-
-
-class MaxIterations(OcotError):
-    """An iterative oracle hit its iteration cap before converging."""

@@ -23,8 +23,9 @@ from ocot import (
     validate_problem,
 )
 from ocot.errors import OrderCheckFailed
-from ocot.oracle import c1_project_dense, kkt_verify, lp_solve_oc, pgd_project
+from ocot.oracle import lp_solve_oc
 from ocot.projections import project_c1, project_c2_epava
+from reference import c1_project_dense, kkt_verify, pgd_project
 from test_bounds import packing_lp
 
 

@@ -27,6 +27,19 @@ def write_json(tmp_path, name, doc):
     return path
 
 
+def write_csv(tmp_path, *texts):
+    """Write each text to its own CSV file and return their paths in order."""
+    paths = [tmp_path / f"table{i}.csv" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    return paths
+
+
+def strict_json(text):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+
+
 class TestSolveCommand:
     def test_unconstrained_round_trip(self, capsys, tmp_path):
         path = write_json(
@@ -74,6 +87,12 @@ class TestSolveCommand:
         path.write_text("{not json")
         code, _, err = run(capsys, "solve", path)
         assert code == 2
+
+    def test_non_object_document_is_parse_error(self, capsys, tmp_path):
+        path = write_json(tmp_path, "list.json", [0.5, 0.5])
+        code, _, err = run(capsys, "solve", path)
+        assert code == 2
+        assert "ParseError" in err and "expected a JSON object at top level" in err
 
     def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "binary.json"
@@ -250,6 +269,19 @@ class TestSearchCommand:
             assert (node["termination"] is not None) == solved
             assert (node["lower_bound"] is not None) == solved
 
+    def test_minus_infinite_node_bound_is_null(self, capsys, tmp_path):
+        # [(0, 1)] is solved before the top-2 set fills, so it has no bound;
+        # [(1, 0)] and [(1, 1)] have empty bound ranges: -inf, written null
+        doc = {"a": [0.9, 0.1], "b": [0.4, 0.6], "D": [[0.9, 0.5], [0.4, 0.8]]}
+        path = write_json(tmp_path, "p.json", doc)
+        with pytest.warns(RuntimeWarning, match="empty ranges"):
+            code, out, _ = run(capsys, "search", path, "--k2", "2", "--tau1", "1", "--tau2", "1")
+        assert code == 0
+        tree = strict_json(out)["tree"]
+        bounds = {str(n["constraints"]): n["bound"] for n in tree[1:]}
+        expected = {"[[0, 1]]": None, "[[0, 0]]": pytest.approx(0.7), "[[1, 0]]": None}
+        assert bounds == {**expected, "[[1, 1]]": None}
+
     def test_tree_reports_iterations_for_every_node(self, capsys, tmp_path):
         # a 14x8 search whose later solves end dominated: every node carries
         # its solve's iterations (null when not solved), and only solves that
@@ -299,6 +331,14 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["bound"] == pytest.approx(0.0)
 
+    def test_infeasible_chain_bound_is_null(self, capsys):
+        # both branch ranges are empty, so the bound is -inf: JSON has no
+        # Infinity, and the document writes null
+        with pytest.warns(RuntimeWarning, match="empty ranges"):
+            code, out, _ = run(capsys, "bound", DATA / "infeasible_2x2.json")
+        assert code == 0
+        assert strict_json(out) == {"bound": None, "row_branch": None, "col_branch": None}
+
     def test_repeated_row_exit(self, capsys, tmp_path):
         path = write_json(
             tmp_path,
@@ -318,21 +358,17 @@ class TestBoundCommand:
 class TestColorTransfer:
     def test_identity_palettes_keep_colors(self, capsys, tmp_path):
         table = "a,0.5,10,20,30\nb,0.5,200,210,220\n"
-        src = tmp_path / "s.csv"
-        tgt = tmp_path / "t.csv"
-        src.write_text(table)
-        tgt.write_text(table)
+        src, tgt = write_csv(tmp_path, table, table)
         code, out, _ = run(capsys, "color-transfer", src, tgt, "--k2", "1", "--tol", "1e-6")
         assert code == 0
-        mapping = json.loads(out)["candidates"][0]["mapping"]
+        candidate = json.loads(out)["candidates"][0]
+        assert candidate["termination"] == "tol"
+        mapping = candidate["mapping"]
         assert mapping[0]["r"] == pytest.approx(10, abs=1e-2)
         assert mapping[1]["b"] == pytest.approx(220, abs=1e-2)
 
     def test_single_target_forces_color(self, capsys, tmp_path):
-        src = tmp_path / "s.csv"
-        tgt = tmp_path / "t.csv"
-        src.write_text("a,0.4,10,20,30\nb,0.6,200,210,220\n")
-        tgt.write_text("t,1.0,90,90,90\n")
+        src, tgt = write_csv(tmp_path, "a,0.4,10,20,30\nb,0.6,200,210,220\n", "t,1.0,90,90,90\n")
         code, out, _ = run(capsys, "color-transfer", src, tgt, "--k2", "1")
         assert code == 0
         for row in json.loads(out)["candidates"][0]["mapping"]:
@@ -351,13 +387,26 @@ class TestColorTransfer:
         doc = json.loads(out)
         cand = doc["candidates"][0]
         assert cand["constraints"] == [["s0", "t1"]]
+        assert cand["termination"] == "tol"
         s0 = next(r for r in cand["mapping"] if r["segment_id"] == "s0")
         for channel in ("r", "g", "b"):
             assert abs(s0[channel] - 10.0) <= 1.0
 
+    def test_failed_constrained_solve_reports_its_termination(self, capsys, tmp_path):
+        # the chain ranks s0 -> t1 over s1 -> t1 over every other cell; t1 holds
+        # 0.1, so s1 -> t1 is at most 0.05 while s0 -> t0 needs 0.6: the LP is
+        # infeasible, the solve runs to its cap, and the candidate says so
+        src, tgt, cons = write_csv(
+            tmp_path, "s0,0.7,200,30,30\ns1,0.3,30,200,30\n",
+            "t0,0.9,255,255,255\nt1,0.1,10,10,10\n", "s0,t1\ns1,t1\n",
+        )
+        code, out, _ = run(capsys, "color-transfer", src, tgt, "--constraints", cons)
+        assert code == 0
+        (cand,) = json.loads(out)["candidates"]
+        assert cand["termination"] == "max_iters"
+
     def test_unknown_segment_id(self, capsys, tmp_path):
-        cons = tmp_path / "c.csv"
-        cons.write_text("nope,t1\n")
+        (cons,) = write_csv(tmp_path, "nope,t1\n")
         code, _, err = run(
             capsys,
             "color-transfer",
@@ -368,8 +417,7 @@ class TestColorTransfer:
         assert code == 2
 
     def test_empty_table(self, capsys, tmp_path):
-        empty = tmp_path / "e.csv"
-        empty.write_text("")
+        (empty,) = write_csv(tmp_path, "")
         code, _, err = run(capsys, "color-transfer", empty, DATA / "color_target_2.csv")
         assert code == 2
         assert "EmptyTable" in err
@@ -382,15 +430,13 @@ class TestColorTransfer:
         assert "ParseError" in err and "cannot read" in err
 
     def test_short_first_row_is_not_a_header(self, capsys, tmp_path):
-        src = tmp_path / "s.csv"
-        src.write_text("s0\ns1,0.5,1,2,3\ns2,0.5,4,5,6\n")
+        (src,) = write_csv(tmp_path, "s0\ns1,0.5,1,2,3\ns2,0.5,4,5,6\n")
         code, _, err = run(capsys, "color-transfer", src, DATA / "color_target_2.csv")
         assert code == 2
         assert "expected 5 columns" in err
 
     def test_zero_weights(self, capsys, tmp_path):
-        src = tmp_path / "s.csv"
-        src.write_text("a,0,10,20,30\n")
+        (src,) = write_csv(tmp_path, "a,0,10,20,30\n")
         code, _, err = run(capsys, "color-transfer", src, DATA / "color_target_2.csv")
         assert code == 2
         assert "WeightSumZero" in err
@@ -436,50 +482,12 @@ class TestOracleCommands:
         assert code == 4
         assert "Infeasible" in err
 
-    def test_project_subcommand(self, capsys, tmp_path):
-        path = write_json(
-            tmp_path, "proj.json", {"X": [[0.2, 0.8]], "constraints": [[0, 0]]}
-        )
-        code, out, _ = run(capsys, "oracle", "project", path)
-        assert code == 0
-        proj = np.asarray(json.loads(out)["projection"])
-        np.testing.assert_allclose(proj, [[0.5, 0.5]], atol=1e-8)
-
-    @pytest.mark.parametrize("pairs", [[1, 2], [["a", 0]], [[0.7, 1]]])
-    def test_project_malformed_constraints(self, capsys, tmp_path, pairs):
-        path = write_json(tmp_path, "proj.json", {"X": [[0.2, 0.8]], "constraints": pairs})
-        code, _, err = run(capsys, "oracle", "project", path)
-        assert code == 2
-        assert "ParseError" in err
-
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"X": [["a", 0.8]]},
-            {"X": [0.2, 0.8]},
-            {"X": [[0.2, float("nan")]]},
-            {"X": []},
-            {"X": [[0.2, 0.8], [0.5]]},
-            {"X": [[True, 0.8]]},
-            {"X": [[0.2, 0.8]], "tol": "tight"},
-            {"X": [[0.2, 0.8]], "tol": True},
-            {"X": [[0.2, 0.8]], "tol": 0},
-            {"X": [[0.2, 0.8]], "tol": -1e-8},
-        ],
-        ids=["string-entry", "1-d", "nan-entry", "empty", "ragged", "bool-entry",
-             "string-tol", "bool-tol", "zero-tol", "negative-tol"],
-    )
-    def test_project_malformed_matrix_or_tol(self, capsys, tmp_path, fields):
-        path = write_json(tmp_path, "proj.json", {**fields, "constraints": [[0, 0]]})
-        code, _, err = run(capsys, "oracle", "project", path)
-        assert code == 2
-        assert "ParseError" in err
-
-    def test_project_non_object_document(self, capsys, tmp_path):
-        path = write_json(tmp_path, "proj.json", 3)
-        code, _, err = run(capsys, "oracle", "project", path)
-        assert code == 2
-        assert "ParseError" in err
+    def test_project_subcommand_is_gone(self, capsys):
+        # ocot.project_c2_epava is the order-cone projection; argparse exits 2
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", "project", str(DATA / "analytic_2x2.json")])
+        assert info.value.code == 2
+        assert "invalid choice: 'project'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ from conftest import random_variates, uniform_problem
 from ocot import OrderedVariates, Problem, validate_problem
 from ocot import projections
 from ocot.errors import ShapeMismatch, UnequalMass
-from ocot.oracle import c1_project_dense, kkt_verify, pgd_project
 from ocot.projections import (
     BlockPartition,
     OrderConeProjector,
@@ -16,6 +15,7 @@ from ocot.projections import (
     project_marginals,
     threshold_T,
 )
+from reference import c1_project_dense, kkt_verify, pgd_project
 
 
 def brute_threshold(x_top, tail, eta):
