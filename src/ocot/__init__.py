@@ -1,8 +1,9 @@
 """Optimal transport with order constraints.
 
 An ADMM splitting solver built from two exact projections, admissible packing
-lower bounds, and a saturation-guided branch-and-bound that returns a diverse
-top-k set of explainable transport plans.
+lower bounds, and a saturation-guided branch-and-bound that returns the top-k
+explainable transport plans by objective, which need not be distinct plans
+(ROADMAP item 6).
 """
 
 from .admm import SolverConfig, SolverTrace, solve

@@ -42,6 +42,9 @@ class SolverConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidConfig(f"{name} must be a number, got {value!r}")
         if not 0 < self.rho < math.inf:
             raise InvalidConfig(f"rho must be finite and positive, got {self.rho!r}")
         if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
@@ -52,15 +55,12 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration objective and residual history, the stop reason
-    (``tol``, ``max_iters`` or ``dominated``), the certified lower bound
-    on the LP optimum at the last iterate and the final scaled dual M, which
-    with the plan's Z can start another solve. ``upper_bound`` is the cost of
-    the polished plan when the solve stopped on a certified gap, else None."""
+    """The stop reason (``tol``, ``max_iters`` or ``dominated``), the
+    certified lower bound on the LP optimum at the last iterate and the final
+    scaled dual M, which with the plan's Z can start another solve.
+    ``upper_bound`` is the cost of the polished plan when the solve stopped on
+    a certified gap, else None."""
 
-    objectives: np.ndarray
-    primal: np.ndarray
-    dual: np.ndarray
     termination: str
     lower_bound: float
     scaled_dual: np.ndarray
@@ -124,7 +124,7 @@ def solve(
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[TransportPlan, SolverTrace]:
     """Run the splitting from ``start = (Z, M)`` until the optimum is certified
-    within ``GAP`` or both residuals clear ``cfg.tol``.
+    within ``GAP`` or the primal and dual residual both clear ``cfg.tol``.
 
     Without a start the splitting begins at Z = M = 0. ADMM converges from
     any starting point (Boyd et al. 2011, section 3.2), so a start changes
@@ -147,19 +147,20 @@ def solve(
     ``tol`` and returns the polished plan X with Z = its order-cone
     projection; the trace carries UB as ``upper_bound`` and min(LB, UB) as
     ``lower_bound``, since rounding can lift an exact LB above UB >= OPT.
-    Otherwise the solve ends on ``tol`` when both residuals clear
-    ``cfg.tol`` and returns the last X with its order-feasible twin Z.
+    Otherwise it ends on ``tol`` once the primal and dual residual both
+    clear ``cfg.tol``, and returns the last X with its order-feasible twin Z.
 
     Hitting the iteration cap is not an error: the trace reports
-    ``termination == "max_iters"`` with the final residuals, which is the
-    documented diagnostic for (possibly) infeasible constraint sets. With a
-    ``cutoff``, every ``CERT_PERIOD`` rounds the certified lower bound is
-    evaluated, and the solve ends with ``termination == "dominated"`` once it
-    exceeds ``stop_above(cutoff)``: the optimum is then proven above the
-    cutoff. That round's LB is the polish's when one was accepted there, and
-    ``certified_lower_bound`` otherwise. Without a cutoff, the rounds are
-    exactly those of a solve with an infinite cutoff. The trace carries the
-    lower bound and the scaled dual M at the last iterate.
+    ``termination == "max_iters"`` and the plan the last round's primal and
+    dual residual, the documented diagnostic for (possibly) infeasible
+    constraint sets. With a ``cutoff``, every ``CERT_PERIOD`` rounds the
+    certified lower bound is evaluated, and the solve ends with
+    ``termination == "dominated"`` once it exceeds ``stop_above(cutoff)``:
+    the optimum is then proven above the cutoff. That round's LB is the
+    polish's when one was accepted there, and ``certified_lower_bound``
+    otherwise. Without a cutoff, the rounds are exactly those of a solve
+    with an infinite cutoff. The trace carries the lower bound and the
+    scaled dual M at the last iterate; it keeps no per-round history.
     """
     oc = oc if oc is not None else OrderedVariates()
     cfg = cfg if cfg is not None else SolverConfig()
@@ -180,13 +181,9 @@ def solve(
     X = np.empty((m, n))
     W = np.empty((m, n))  # scratch shared by both projection inputs
     Z_new = np.empty((m, n))
-    # Flat views made once: a round's fixed cost is its numpy calls, so the
-    # norms and the objective skip the np.linalg.norm / np.vdot wrappers and
-    # run the same ravel-dot-sqrt they reduce to.
-    d, x, w = D.reshape(-1), X.reshape(-1), W.reshape(-1)
-    objs: list[float] = []
-    primals: list[float] = []
-    duals: list[float] = []
+    # made once: a round's fixed cost is its numpy calls, so the norms skip
+    # the np.linalg.norm wrapper for the ravel-dot-sqrt it reduces to
+    w = W.reshape(-1)
     polish_below = POLISH_RESIDUAL * tol
     gap_floor = GAP_FLOOR * float(D.max()) * float(a.sum())
     polished_at = -CERT_PERIOD  # the round of the last polish
@@ -207,9 +204,6 @@ def solve(
         np.subtract(Z_new, Z, out=W)
         dual = rho * math.sqrt(w.dot(w))
         Z, Z_new = Z_new, Z
-        objs.append(float(d.dot(x)))
-        primals.append(primal)
-        duals.append(dual)
         bound = None  # the certified lower bound at this round, once evaluated
         if primal <= polish_below and rounds - polished_at >= CERT_PERIOD:
             polished_at = rounds
@@ -242,13 +236,10 @@ def solve(
         Z=Z,
         objective=objective(problem, X),
         primal_residual=math.sqrt(w.dot(w)),
-        dual_residual=duals[-1],
-        iterations=len(objs),
+        dual_residual=dual,
+        iterations=rounds,
     )
     trace = SolverTrace(
-        objectives=np.array(objs),
-        primal=np.array(primals),
-        dual=np.array(duals),
         termination=termination,
         lower_bound=certified_lower_bound(problem, M, rho, cone) if bound is None else bound,
         scaled_dual=M,

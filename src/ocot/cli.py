@@ -127,7 +127,10 @@ def load_segment_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     for r in rows:
         if len(r) != 5:
             raise ParseError(f"{path}: expected 5 columns, got {len(r)}: {r}")
-        ids.append(r[0].strip())
+        segment = r[0].strip()
+        if not segment or segment in ids:
+            raise ParseError(f"{path}: blank or repeated segment id in row {r}")
+        ids.append(segment)
         try:
             w = float(r[1])
             rgb = [float(r[2]), float(r[3]), float(r[4])]

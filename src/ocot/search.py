@@ -3,8 +3,9 @@
 Nodes of the search tree are constraint chains; a child appends one more cell
 at the bottom of its parent's chain. The frontier is popped by lowest
 neighbourhood saturation, nodes are solved only when the admissible bound
-says they could still crack the current top plans, and the result is a
-diverse top-k2 set with the full decision trace.
+says they could still crack the current top plans, and the result is the
+top-k2 plans by objective with the full decision trace. Those plans need not
+be distinct: several chains can share one optimum (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -36,11 +37,15 @@ class SearchConfig:
     prune: bool = True
 
     def __post_init__(self):
+        for name in ("tau1", "tau2", "k1", "k2", "k3"):
+            value = getattr(self, name)
+            kind, noun = (numbers.Integral, "an integer") if name[0] == "k" else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InvalidConfig(f"{name} must be {noun}, got {value!r}")
+        if not (isinstance(self.greedy, bool) and isinstance(self.prune, bool)):
+            raise InvalidConfig(f"greedy and prune must be bools; got {self.greedy!r}, {self.prune!r}")
         if not (0.0 <= self.tau1 <= 1.0 and 0.0 <= self.tau2 <= 1.0):
             raise InvalidConfig(f"thresholds must lie in [0, 1]; got {self.tau1}, {self.tau2}")
-        for name in ("k1", "k2", "k3"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.k1 >= self.k2 >= 1:
             raise InvalidConfig(f"need k1 >= k2 >= 1; got k1={self.k1}, k2={self.k2}")
         if self.k3 < 1:

@@ -416,6 +416,18 @@ class TestColorTransfer:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("ids", [("s0", "s0"), ("", " ")])
+    def test_repeated_or_blank_segment_id(self, capsys, tmp_path, ids):
+        # a constraint naming s0 would bind to the first of two s0 rows, and
+        # the output would list two mappings under one name
+        src, tgt, cons = write_csv(
+            tmp_path, f"{ids[0]},0.5,10,10,10\n{ids[1]},0.5,200,200,200\n",
+            "t0,0.5,0,0,0\nt1,0.5,255,255,255\n", "s0,t1\n",
+        )
+        code, _, err = run(capsys, "color-transfer", src, tgt, "--constraints", cons)
+        assert code == 2
+        assert "ParseError" in err and "segment id" in err
+
     def test_empty_table(self, capsys, tmp_path):
         (empty,) = write_csv(tmp_path, "")
         code, _, err = run(capsys, "color-transfer", empty, DATA / "color_target_2.csv")

@@ -87,6 +87,13 @@ class TestSearchConfig:
         with pytest.raises(InvalidConfig):
             SearchConfig(k1=20, k2=2.5)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"k1": True, "k2": True}, {"prune": "no"}, {"greedy": 1}, {"tau1": "0.5"}, {"tau2": None}]
+    )
+    def test_boolean_or_non_numeric_field(self, kwargs):
+        with pytest.raises(InvalidConfig):
+            SearchConfig(**kwargs)
+
     def test_depth_capped_by_shape(self, symmetric_2x2):
         with pytest.raises(InvalidConfig):
             branch_and_bound(symmetric_2x2, SearchConfig(k3=3))
